@@ -65,6 +65,10 @@ def _parse_noise(text: str) -> NoiseSpec:
         mean_total = float(head[1])
     except ValueError as exc:
         raise UsageError(f"bad mean_total in noise spec {text!r}") from exc
+    if not np.isfinite(mean_total) or mean_total <= 0.0:
+        raise UsageError(f"mean_total must be finite and > 0 in noise spec {text!r}")
+    if len(parts) > 2:
+        raise UsageError(f"noise spec {text!r} has more than one rot: component")
     spec = NoiseSpec(mean_total=mean_total)
     for extra in parts[1:]:
         fields = extra.split(":")
@@ -242,20 +246,20 @@ def cmd_rsp_sweep(args) -> int:
 
 def _parse_ensemble(text: str):
     fields = text.split(":")
-    if fields[0] == "random" and len(fields) in (2, 3):
-        try:
-            n = int(fields[1])
-            rank = int(fields[2]) if len(fields) == 3 else None
-        except ValueError as exc:
-            raise UsageError(f"bad ensemble spec {text!r}") from exc
-        return ("random", n, rank)
-    if fields[0] == "zero-discord" and len(fields) == 2:
-        try:
-            return ("zero-discord", int(fields[1]), None)
-        except ValueError as exc:
-            raise UsageError(f"bad ensemble spec {text!r}") from exc
-    raise UsageError(
-        f"unknown ensemble {text!r}; expected random:<n>[:<rank>] or zero-discord:<n>")
+    if not ((fields[0] == "random" and len(fields) in (2, 3))
+            or (fields[0] == "zero-discord" and len(fields) == 2)):
+        raise UsageError(
+            f"unknown ensemble {text!r}; expected random:<n>[:<rank>] or zero-discord:<n>")
+    try:
+        n = int(fields[1])
+        rank = int(fields[2]) if len(fields) == 3 else None
+    except ValueError as exc:
+        raise UsageError(f"bad ensemble spec {text!r}") from exc
+    if n < 1:
+        raise UsageError(f"ensemble {text!r} must have at least one state")
+    if rank is not None and not 1 <= rank <= 4:
+        raise UsageError(f"rank in ensemble {text!r} must be 1..4")
+    return (fields[0], n, rank)
 
 
 def _ensemble_states(kind: str, n: int, rank, seed: int):
@@ -268,17 +272,16 @@ def _ensemble_states(kind: str, n: int, rank, seed: int):
             yield states.random_zero_discord(state_seed)
 
 
-def evaluate_oracle_gaps(ensemble, restarts: int, grid_points: int, seed: int) -> dict:
+def evaluate_oracle_gaps(ensemble, grid_points: int) -> dict:
     """Worst-case gaps between closed forms and brute-force oracles."""
     max_discord_gap = 0.0
     max_fidelity_gap = 0.0
     worst_dominance = 0.0  # max of closed - oracle, should stay <= ~0
     max_closed = 0.0
     count = 0
-    for i, rho in enumerate(ensemble):
+    for rho in ensemble:
         closed = discord.geometric_discord(rho).value
-        oracle = discord.geometric_discord_oracle(rho, restarts=restarts,
-                                                  seed=_subseed(seed, 1000 + i))
+        oracle = discord.geometric_discord_oracle(rho)
         fid = rsp.rsp_fidelity(rho)
         fid_oracle = rsp.rsp_fidelity_oracle(rho, grid_points=grid_points)
         max_discord_gap = max(max_discord_gap, abs(oracle - closed))
@@ -286,6 +289,8 @@ def evaluate_oracle_gaps(ensemble, restarts: int, grid_points: int, seed: int) -
         worst_dominance = max(worst_dominance, closed - oracle)
         max_closed = max(max_closed, closed)
         count += 1
+    if count == 0:
+        raise ValueError("oracle check needs at least one state")
     return {
         "states": count,
         "max_discord_gap": max_discord_gap,
@@ -298,8 +303,13 @@ def evaluate_oracle_gaps(ensemble, restarts: int, grid_points: int, seed: int) -
 def cmd_oracle_check(args) -> int:
     started = time.monotonic()
     kind, n, rank = _parse_ensemble(args.ensemble)
+    if args.grid_points < 1:
+        raise UsageError("--grid-points must be >= 1")
+    if args.restarts is not None:
+        print("warning: --restarts is deprecated and ignored; the discord oracle "
+              f"searches {discord.ORACLE_AXES} fixed axes", file=sys.stderr)
     ensemble = _ensemble_states(kind, n, rank, args.seed)
-    report = evaluate_oracle_gaps(ensemble, args.restarts, args.grid_points, args.seed)
+    report = evaluate_oracle_gaps(ensemble, args.grid_points)
     failures = []
     if report["max_discord_gap"] > DISCORD_GAP_TOL:
         failures.append(f"discord gap {report['max_discord_gap']:.3e} > {DISCORD_GAP_TOL:.0e}")
@@ -311,7 +321,7 @@ def cmd_oracle_check(args) -> int:
         failures.append(
             f"zero-discord ensemble has closed form {report['max_closed_form']:.3e}")
     lines = [f"ensemble {args.ensemble}  states {report['states']}  "
-             f"restarts {args.restarts}  grid {args.grid_points}  seed {args.seed}",
+             f"axes {discord.ORACLE_AXES}  grid {args.grid_points}  seed {args.seed}",
              f"max |oracle - closed| discord   {report['max_discord_gap']:.6e}",
              f"max |grid - eigen| rsp fidelity {report['max_fidelity_gap']:.6e}",
              f"worst closed - oracle           {report['worst_dominance']:.6e}",
@@ -366,11 +376,11 @@ def build_parser() -> _Parser:
                        "minimization on a seeded ensemble")
     p.add_argument("--ensemble", default="random:100",
                    help="random:<n>[:<rank>] | zero-discord:<n>")
-    p.add_argument("--restarts", type=int, default=50)
+    p.add_argument("--restarts", type=int, default=None,
+                   help="deprecated and ignored")
     p.add_argument("--grid-points", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "text"), default="text")
     p.set_defaults(func=cmd_oracle_check)
     return parser
 

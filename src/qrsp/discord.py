@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import BlochRep, schmidt_canonical, to_bloch
+from .qstate import IDENTITY_2, PAULIS, BlochRep, as_state, schmidt_canonical, to_bloch
+from .rsp import fibonacci_sphere
 
 ANGLE_TOL = 1e-6  # radians; parallelism threshold for the special class
 DEGENERACY_TOL = 1e-9  # singular values this close count as equal
@@ -89,103 +90,54 @@ def is_zero_discord(rho, tol: float = 1e-9) -> bool:
 # brute-force oracle
 # ---------------------------------------------------------------------------
 #
-# Direct derivative-free minimization of 2 Tr(rho - chi)^2 over the
-# classical-quantum family, parameterized by
-#   x = [p, theta, phi, r1x, r1y, r1z, r2x, r2y, r2z]
-# with v = (sin th cos ph, sin th sin ph, cos th) and r1, r2 clipped to the
-# Bloch ball.  In Bloch coordinates the objective is exactly
-#   ( |a - a_chi|^2 + |b - b_chi|^2 + |E - E_chi|^2_F ) / 2,
-# which the tests pin to the 4x4-matrix definition.
+# The closest classical-quantum state to rho for a fixed measurement axis v
+# on Alice's side is the dephased state chi = (rho + N rho N)/2 with
+# N = v.sigma x 1 (Luo & Fu, PRA 82, 034302), so D^2 = min_v 2 Tr(rho - chi)^2.
+# The search scores a Fibonacci grid of axes, then refines the best few by
+# a (theta, phi) pattern search.  It never forms a x a^T + E E^T.
 
-_LOWER = np.array([0.0, 0.0, 0.0, -1, -1, -1, -1, -1, -1], dtype=float)
-_UPPER = np.array([1.0, np.pi, 2.0 * np.pi, 1, 1, 1, 1, 1, 1], dtype=float)
+ORACLE_AXES = 500  # grid axes scored up front
+ORACLE_REFINED = 4  # best grid axes refined by pattern search
+_STEP_TOL = 1e-7  # radians; refinement stops once every step is below this
 
-
-def classical_family_bloch(x: np.ndarray) -> tuple:
-    """Bloch coefficients (a, b, E) of chi for a batch of parameter rows."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    p = x[:, 0]
-    st, ct = np.sin(x[:, 1]), np.cos(x[:, 1])
-    v = np.stack([st * np.cos(x[:, 2]), st * np.sin(x[:, 2]), ct], axis=1)
-    r1 = x[:, 3:6]
-    r2 = x[:, 6:9]
-    r1 = r1 / np.maximum(1.0, np.linalg.norm(r1, axis=1))[:, None]
-    r2 = r2 / np.maximum(1.0, np.linalg.norm(r2, axis=1))[:, None]
-    a = (2.0 * p - 1.0)[:, None] * v
-    b = p[:, None] * r1 + (1.0 - p)[:, None] * r2
-    w = p[:, None] * r1 - (1.0 - p)[:, None] * r2
-    E = v[:, :, None] * w[:, None, :]
-    return a, b, E
+_GRID = fibonacci_sphere(ORACLE_AXES)
+_SIGMA_A = np.stack([np.kron(s, IDENTITY_2) for s in PAULIS])
+_MOVES = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
 
-def _distance_objective(rep: BlochRep):
-    a0, b0, E0 = rep.a, rep.b, rep.E
-
-    def objective(x: np.ndarray) -> np.ndarray:
-        a, b, E = classical_family_bloch(x)
-        da = a - a0
-        db = b - b0
-        dE = E - E0
-        return 0.5 * (np.einsum("bk,bk->b", da, da)
-                      + np.einsum("bk,bk->b", db, db)
-                      + np.einsum("bkl,bkl->b", dE, dE))
-
-    return objective
+def _dephased_distance(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """2 Tr(rho - chi)^2 with chi = (rho + N rho N)/2, for each unit axis row of v."""
+    n = np.einsum("bk,kij->bij", v, _SIGMA_A)
+    d = m - 0.5 * (m + n @ m @ n)
+    return 2.0 * np.einsum("bij,bij->b", d, d.conj()).real
 
 
-def _descend(objective, x: np.ndarray, max_evals: int, step_tol: float) -> np.ndarray:
-    """Coordinate-wise adaptive-step descent, lockstep over all restarts.
+def _axes(angles: np.ndarray) -> np.ndarray:
+    """Unit axes for the (theta, phi) pairs along the last dimension."""
+    st = np.sin(angles[..., 0])
+    return np.stack([st * np.cos(angles[..., 1]), st * np.sin(angles[..., 1]),
+                     np.cos(angles[..., 0])], axis=-1)
 
-    One evaluation = one objective call per restart.  The result does not
-    depend on how restarts would be scheduled: each row evolves from its
-    own start and the caller takes the minimum.
+
+def geometric_discord_oracle(rho) -> float:
+    """min over Alice's measurement axis v of 2 Tr(rho - chi_v)^2.
+
+    Every candidate chi_v is a classical-quantum state, so the result is an
+    upper bound on the true minimum.  The search is deterministic.
     """
-    n, dim = x.shape
-    span = _UPPER - _LOWER
-    step = np.tile(0.25 * span, (n, 1))
-    fx = objective(x)
-    evals = 1
-    while evals + 2 * dim <= max_evals and step.max() > step_tol:
-        for d in range(dim):
-            improved = np.zeros(n, dtype=bool)
-            for sign in (1.0, -1.0):
-                xt = x.copy()
-                xt[:, d] = np.clip(x[:, d] + sign * step[:, d], _LOWER[d], _UPPER[d])
-                ft = objective(xt)
-                evals += 1
-                better = ft < fx
-                x[better] = xt[better]
-                fx[better] = ft[better]
-                improved |= better
-            step[improved, d] = np.minimum(step[improved, d] * 1.8, 0.5 * span[d])
-            step[~improved, d] *= 0.5
-    return fx
-
-
-def geometric_discord_oracle(rho, restarts: int = 50, tol: float = 1e-4,
-                             seed: int = 0) -> float:
-    """Minimum of 2 Tr(rho - chi)^2 found by restarted derivative-free search.
-
-    Every candidate chi is a valid classical-quantum state, so the result
-    is an upper bound on the true minimum; with the default budget
-    (restarts x 2000 evaluations) it lands within ~tol of the closed form.
-    Restart i draws its start from the stream (seed, i), so the outcome is
-    reproducible and independent of evaluation order.
-    """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    rep = to_bloch(rho)
-    starts = np.empty((restarts, 9))
-    for i in range(restarts):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
-        starts[i, 0] = rng.random()
-        starts[i, 1] = np.arccos(rng.uniform(-1.0, 1.0))
-        starts[i, 2] = rng.uniform(0.0, 2.0 * np.pi)
-        for j in (3, 6):
-            u = rng.standard_normal(3)
-            u /= np.linalg.norm(u)
-            starts[i, j:j + 3] = u * rng.random() ** (1.0 / 3.0)
-    objective = _distance_objective(rep)
-    step_tol = max(1e-9, float(tol) * 1e-3)
-    fx = _descend(objective, starts, max_evals=2000, step_tol=step_tol)
+    m = as_state(rho).matrix
+    fx = _dephased_distance(m, _GRID)
+    top = np.argsort(fx)[:ORACLE_REFINED]
+    fx, best = fx[top], _GRID[top]
+    x = np.stack([np.arccos(best[:, 2]), np.arctan2(best[:, 1], best[:, 0])], axis=1)
+    step = np.full(ORACLE_REFINED, np.sqrt(4.0 * np.pi / ORACLE_AXES))  # grid spacing
+    rows = np.arange(ORACLE_REFINED)
+    while step.max() > _STEP_TOL:
+        trial = x[:, None, :] + step[:, None, None] * _MOVES
+        ft = _dephased_distance(m, _axes(trial).reshape(-1, 3)).reshape(ORACLE_REFINED, -1)
+        j = ft.argmin(axis=1)
+        moved = ft[rows, j] < fx
+        x[moved] = trial[rows, j][moved]
+        fx[moved] = ft[rows, j][moved]
+        step[~moved] *= 0.5
     return float(fx.min())

@@ -55,8 +55,8 @@ class NotAState(StateError):
 class TwoQubitState:
     """A validated 4x4 density matrix.
 
-    Construction rejects non-Hermitian, non-unit-trace and non-PSD input
-    with distinct errors; eigenvalues down to -1e-9 are accepted as
+    Construction rejects non-finite, non-Hermitian, non-unit-trace and
+    non-PSD input with distinct errors; eigenvalues down to -1e-9 are accepted as
     rounding noise.
     """
 
@@ -66,6 +66,8 @@ class TwoQubitState:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (4, 4):
             raise StateError(f"expected a 4x4 matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise StateError("matrix has non-finite entries")
         herm_defect = np.abs(m - m.conj().T).max()
         if herm_defect > HERMITICITY_TOL:
             raise NotHermitian(f"matrix is not Hermitian (defect {herm_defect:.3e})")
@@ -160,6 +162,8 @@ def bloch_matrix(a, b, E) -> np.ndarray:
 def from_bloch(rep: BlochRep) -> TwoQubitState:
     """Inverse of to_bloch.  Raises NotAState if the assembly is not PSD."""
     m = bloch_matrix(rep.a, rep.b, rep.E)
+    if not np.isfinite(m).all():
+        raise NotAState("Bloch coefficients are not finite")
     min_eig = np.linalg.eigvalsh(m)[0]
     if min_eig < -PSD_TOL:
         raise NotAState(

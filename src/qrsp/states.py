@@ -100,7 +100,7 @@ def rho_b(k: float, t: float) -> TwoQubitState:
         "11": (1.0 - 2.0 * t - k) / 4.0,
     }
     for name, w in weights.items():
-        if w < -WEIGHT_TOL:
+        if not w >= -WEIGHT_TOL:  # also rejects NaN
             raise InvalidWeights(
                 f"component {name} has weight {w:.6g} < -{WEIGHT_TOL:.0e} "
                 f"at k={k:.6g}, t={t:.6g}")

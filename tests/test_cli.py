@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from qrsp.cli import main, quantities_of
+from qrsp.cli import evaluate_oracle_gaps, main, quantities_of
 from qrsp.qstate import save_state_file, state_fidelity
 from qrsp.states import rho_b, werner
 from qrsp.rsp import SweepResult
@@ -98,6 +98,19 @@ def test_characterize_noise_with_rotation(capsys):
      "--noise", "poisson:1e4,rot:w:0.1"],
     [],
     ["no-such-command"],
+    ["characterize", "--state", "werner", "--lambda", "0.5",
+     "--noise", "poisson:1e4,rot:x:0.1,rot:y:0.2"],
+    ["characterize", "--state", "werner", "--lambda", "0.5", "--noise", "poisson:nan"],
+    ["characterize", "--state", "werner", "--lambda", "0.5", "--noise", "poisson:inf"],
+    ["characterize", "--state", "werner", "--lambda", "0.5", "--noise", "poisson:0"],
+    ["characterize", "--state", "werner", "--lambda", "0.5", "--noise", "poisson:-1e4"],
+    ["oracle-check", "--ensemble", "random:0"],
+    ["oracle-check", "--ensemble", "random:-3"],
+    ["oracle-check", "--ensemble", "zero-discord:0"],
+    ["oracle-check", "--ensemble", "random:1:5"],
+    ["oracle-check", "--ensemble", "random:1:0"],
+    ["oracle-check", "--ensemble", "random:1", "--grid-points", "0"],
+    ["oracle-check", "--ensemble", "random:1", "--format", "csv"],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     assert main(argv) == 1
@@ -118,6 +131,22 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     assert main(["characterize", "--state", f"file:{tmp_path}/absent.json"]) == 2
     assert main(["characterize", "--state", "werner", "--lambda", "1.5"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_states_exit_2(value, tmp_path, capsys):
+    doc = tmp_path / "state.json"
+    doc.write_text('{"bloch": {"a": [%s, 0, 0], "b": [0, 0, 0], '
+                   '"E": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}}' % value)
+    text = value.lower().replace("infinity", "inf")
+    for argv in (["--state", f"file:{doc}"],
+                 ["--state", "werner", f"--lambda={text}"],
+                 ["--state", "rho_b", f"--k={text}", "--t", "0"],
+                 ["--state", "rho_b", "--k", "0", f"--t={text}"]):
+        assert main(["characterize", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Eigenvalues did not converge" not in err
 
 
 def test_rsp_sweep_outputs_and_manifest(tmp_path, capsys):
@@ -176,23 +205,45 @@ def test_rsp_sweep_singlet_vs_noise(capsys):
 
 
 def test_oracle_check_passes(tmp_path, capsys):
-    assert main(["oracle-check", "--ensemble", "random:5", "--restarts", "12",
+    assert main(["oracle-check", "--ensemble", "random:5",
                  "--grid-points", "4000", "--seed", "0"]) == 0
     out = capsys.readouterr().out
+    assert out.splitlines()[0] == "ensemble random:5  states 5  axes 500  grid 4000  seed 0"
     assert out.strip().endswith("PASS")
 
     report = tmp_path / "oracle.txt"
     assert main(["oracle-check", "--ensemble", "zero-discord:10",
-                 "--restarts", "20", "--seed", "1", "--out", str(report)]) == 0
+                 "--seed", "1", "--out", str(report)]) == 0
     assert capsys.readouterr().out.strip() == "PASS"
     assert report.read_text().strip().endswith("PASS")
     manifest = json.loads((tmp_path / "oracle.txt.manifest.json").read_text())
     assert manifest["command"] == "oracle-check"
+    assert "restarts" not in manifest["parameters"]
+
+
+def test_oracle_check_restarts_is_deprecated(tmp_path, capsys):
+    report = tmp_path / "oracle.txt"
+    assert main(["oracle-check", "--ensemble", "random:2", "--restarts", "50",
+                 "--out", str(report)]) == 0
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--restarts is deprecated and ignored" in err
+    manifest = json.loads((tmp_path / "oracle.txt.manifest.json").read_text())
+    assert manifest["parameters"]["restarts"] == 50
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "2"],
+    ["--ensemble", "zero-discord:1", "--seed", "1527482097"],
+])
+def test_oracle_check_regression_seeds(argv, capsys):
+    # both missed the 1e-3 discord tolerance under the earlier 9-parameter search
+    assert main(["oracle-check", *argv]) == 0
+    assert capsys.readouterr().out.strip().endswith("PASS")
 
 
 def test_oracle_check_fails_on_coarse_grid(capsys):
     # 2 grid points cannot track the worst-case axis
-    assert main(["oracle-check", "--ensemble", "random:3", "--restarts", "2",
+    assert main(["oracle-check", "--ensemble", "random:3",
                  "--grid-points", "2", "--seed", "0"]) == 2
     out = capsys.readouterr().out
     assert "FAIL" in out
@@ -202,6 +253,11 @@ def test_oracle_check_bad_ensemble(capsys):
     assert main(["oracle-check", "--ensemble", "bogus:5"]) == 1
     assert main(["oracle-check", "--ensemble", "random:x"]) == 1
     capsys.readouterr()
+
+
+def test_evaluate_oracle_gaps_refuses_empty_ensemble():
+    with pytest.raises(ValueError, match="at least one state"):
+        evaluate_oracle_gaps(iter(()), grid_points=100)
 
 
 def test_characterize_out_manifest(tmp_path, capsys):

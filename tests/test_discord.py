@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qrsp.qstate import BlochRep, TwoQubitState, from_bloch, to_bloch
+from qrsp.qstate import PAULIS, BlochRep, TwoQubitState, from_bloch, to_bloch
 from qrsp.states import (
     bell,
     maximally_mixed,
@@ -18,8 +20,8 @@ from qrsp.states import (
 )
 from qrsp.discord import (
     NotInSpecialClass,
+    _dephased_distance,
     check_special_class,
-    classical_family_bloch,
     discord_special_form,
     geometric_discord,
     geometric_discord_oracle,
@@ -127,62 +129,41 @@ def test_zero_discord_family_scores_zero():
     assert not is_zero_discord(werner(0.5))
 
 
-def test_family_bloch_matches_kron_construction():
-    # the oracle's Bloch-coordinate objective must agree with the 4x4 definition
+def _dephase(rho, v):
+    # Pi_v(rho) built from the measurement branches: p P+ x rho1 + (1-p) P- x rho2
+    m = rho.matrix.reshape(2, 2, 2, 2)
+    branches = []
+    for sign in (1.0, -1.0):
+        proj = 0.5 * (np.eye(2) + sign * sum(vk * s for vk, s in zip(v, PAULIS)))
+        cond = np.einsum("ij,jkil->kl", proj, m)  # Tr_A[(P x 1) rho]
+        branches.append(cond)
+    p = branches[0].trace().real
+    return zero_discord(p, v, branches[0] / p, branches[1] / (1.0 - p)).matrix
+
+
+def test_oracle_objective_matches_dephased_state():
     rng = np.random.default_rng(9)
-    rho = random_state(21)
-    rep = to_bloch(rho)
-    for _ in range(50):
-        x = rng.uniform([0, 0, 0, -1, -1, -1, -1, -1, -1],
-                        [1, np.pi, 2 * np.pi, 1, 1, 1, 1, 1, 1])
-        a, b, E = classical_family_bloch(x)
-        p = x[0]
-        st, ct = np.sin(x[1]), np.cos(x[1])
-        v = np.array([st * np.cos(x[2]), st * np.sin(x[2]), ct])
-        r1, r2 = x[3:6].copy(), x[6:9].copy()
-        r1 /= max(1.0, np.linalg.norm(r1))
-        r2 /= max(1.0, np.linalg.norm(r2))
-        chi = zero_discord(p, v,
-                           _qubit(r1), _qubit(r2)).matrix
-        chi_rep = to_bloch(TwoQubitState(chi))
-        assert np.abs(a[0] - chi_rep.a).max() < 1e-12
-        assert np.abs(b[0] - chi_rep.b).max() < 1e-12
-        assert np.abs(E[0] - chi_rep.E).max() < 1e-12
-        # Bloch-coordinate distance vs matrix distance
-        diff = rho.matrix - chi
-        direct = 2.0 * np.trace(diff @ diff).real
-        bloch = (np.sum((rep.a - a[0])**2) + np.sum((rep.b - b[0])**2)
-                 + np.sum((rep.E - E[0])**2)) / 2.0
-        assert abs(direct - bloch) < 1e-12
-
-
-def _qubit(r):
-    return 0.5 * np.array([[1 + r[2], r[0] - 1j * r[1]],
-                           [r[0] + 1j * r[1], 1 - r[2]]])
-
-
-def test_family_clips_conditional_vectors_to_ball():
-    x = np.array([0.4, np.pi / 2, 0.0, 2.0, 0.0, 0.0, 0.0, -3.0, 0.0])
-    a, b, E = classical_family_bloch(x)
-    r1 = np.array([1.0, 0.0, 0.0])
-    r2 = np.array([0.0, -1.0, 0.0])
-    assert np.abs(b[0] - (0.4 * r1 + 0.6 * r2)).max() < 1e-12
-    assert np.abs(E[0] - np.outer([1, 0, 0], 0.4 * r1 - 0.6 * r2)).max() < 1e-12
+    for seed in range(10):
+        rho = random_state(seed, rank=1 + seed % 4)
+        v = rng.standard_normal((5, 3))
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        found = _dephased_distance(rho.matrix, v)
+        for vi, fi in zip(v, found):
+            diff = rho.matrix - _dephase(rho, vi)
+            assert abs(fi - 2.0 * np.trace(diff @ diff).real) < 1e-12
 
 
 def test_oracle_reference_states():
     for state, expected in [(werner(1.0 / 3.0), 1.0 / 9.0),
                             (rho_b(0.2, 0.4), 0.04)]:
-        found = geometric_discord_oracle(state, restarts=50, tol=1e-4, seed=0)
-        assert abs(found - expected) < 1e-3
-        assert found >= expected - 1e-6
+        found = geometric_discord_oracle(state)
+        assert abs(found - expected) < 1e-9
+        assert found >= expected - 1e-12
 
 
 def test_oracle_deterministic():
     state = random_state(4)
-    a = geometric_discord_oracle(state, restarts=10, seed=3)
-    b = geometric_discord_oracle(state, restarts=10, seed=3)
-    assert a == b
+    assert geometric_discord_oracle(state) == geometric_discord_oracle(state)
 
 
 def test_oracle_dominates_closed_form():
@@ -191,10 +172,16 @@ def test_oracle_dominates_closed_form():
     for seed in range(20):
         state = random_state(seed, rank=1 + seed % 4)
         closed = geometric_discord(state).value
-        found = geometric_discord_oracle(state, restarts=12, seed=seed)
-        assert found >= closed - 1e-6
+        found = geometric_discord_oracle(state)
+        assert found >= closed - 1e-12
 
 
-def test_oracle_validates_restarts():
-    with pytest.raises(ValueError, match="restarts"):
-        geometric_discord_oracle(werner(0.5), restarts=0)
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), family=st.sampled_from(["random", "zero"]),
+       rank=st.integers(1, 4))
+def test_oracle_brackets_closed_form(seed, family, rank):
+    state = random_state(seed, rank=rank) if family == "random" else random_zero_discord(seed)
+    closed = geometric_discord(state).value
+    found = geometric_discord_oracle(state)
+    assert closed <= found + 1e-12
+    assert found <= closed + 1e-9

@@ -95,6 +95,29 @@ def test_from_bloch_rejects_unphysical():
     assert abs(np.linalg.eigvalsh(m)[0] + 0.5) < 1e-12
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_raises_state_error(value, tmp_path):
+    m = np.eye(4, dtype=complex) / 4.0
+    m[1, 2] = m[2, 1] = value
+    with pytest.raises(qstate.StateError, match="non-finite"):
+        TwoQubitState(m)
+    with pytest.raises(qstate.StateError, match="non-finite"):
+        TwoQubitState(np.full((4, 4), value))
+    # BlochRep's norm bounds catch inf but let NaN through to from_bloch
+    with pytest.raises(qstate.StateError):
+        from_bloch(BlochRep(a=np.zeros(3), b=np.zeros(3), E=np.diag([value, 0.0, 0.0])))
+    doc = tmp_path / "state.json"
+    doc.write_text('{"bloch": {"a": [0, 0, 0], "b": [0, %s, 0], '
+                   '"E": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}}'
+                   % {np.nan: "NaN", np.inf: "Infinity", -np.inf: "-Infinity"}[value])
+    with pytest.raises(qstate.StateError):
+        load_state_file(doc)
+    for make in (lambda: states.werner(value), lambda: states.rho_b(value, 0.0),
+                 lambda: states.rho_b(0.0, value)):
+        with pytest.raises(states.InvalidWeights):
+            make()
+
+
 def test_bloch_rep_bounds():
     with pytest.raises(qstate.StateError):
         BlochRep(a=np.array([1.1, 0, 0]), b=np.zeros(3), E=np.zeros((3, 3)))
