@@ -7,10 +7,7 @@ re-running the same command and seed reproduces outputs byte-identically.
 """
 
 import argparse
-import io
-import csv
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -126,25 +123,18 @@ def _apply_noise(rho, noise: NoiseSpec, seed: int) -> qstate.TwoQubitState:
     return tomo.linear_inversion(records)
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _write_manifest(out_path: str, command: str, params: dict, seed: int,
                     started: float) -> None:
     manifest = RunManifest(command=command, parameters=params, seed=int(seed),
                            artifact_version=__version__, outputs=[out_path],
                            duration_seconds=time.monotonic() - started)
-    _atomic_write(f"{out_path}.manifest.json",
-                  json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
+    qstate._atomic_write(f"{out_path}.manifest.json",
+                         json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
 
 
 def _emit(text: str, args, command: str, params: dict, started: float) -> None:
     if args.out:
-        _atomic_write(args.out, text)
+        qstate._atomic_write(args.out, text)
         _write_manifest(args.out, command, params, args.seed, started)
     else:
         sys.stdout.write(text)
@@ -182,12 +172,8 @@ def cmd_characterize(args) -> int:
     else:
         rows = quantities_of(ideal)
     if args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["quantity", "value"])
-        for name in _QUANTITIES:
-            writer.writerow([name, repr(float(rows[name]))])
-        text = out.getvalue()
+        text = qstate._csv_text(["quantity", "value"],
+                                ([name, repr(float(rows[name]))] for name in _QUANTITIES))
     else:
         width = max(len(q) for q in _QUANTITIES)
         text = "".join(f"{name:<{width}}  {rows[name]:.10g}\n" for name in _QUANTITIES)
@@ -201,6 +187,10 @@ def cmd_characterize(args) -> int:
 
 def cmd_rsp_sweep(args) -> int:
     started = time.monotonic()
+    if args.targets < 1:
+        raise UsageError("--targets must be >= 1")
+    if args.shots < 1:
+        raise UsageError("--shots must be >= 1")
     rho1 = _resolve_state(args.state, args)
     rho2 = _resolve_state(args.state2, args)
     if args.noise:
@@ -215,23 +205,15 @@ def cmd_rsp_sweep(args) -> int:
     header = ["target_index", "sx", "sy", "sz",
               "payoff_analytic_1", "payoff_mc_1", "stderr_1",
               "payoff_analytic_2", "payoff_mc_2", "stderr_2", "delta_p"]
+    values = [[float(v) for v in (*r1.target, r1.payoff_analytic, r1.payoff_mc, r1.stderr,
+                                  r2.payoff_analytic, r2.payoff_mc, r2.stderr, d)]
+              for r1, r2, d in zip(res1.records, res2.records, delta)]
     if args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(header)
-        for i, (r1, r2) in enumerate(zip(res1.records, res2.records)):
-            writer.writerow([i] + [repr(float(x)) for x in r1.target]
-                            + [repr(float(v)) for v in
-                               (r1.payoff_analytic, r1.payoff_mc, r1.stderr,
-                                r2.payoff_analytic, r2.payoff_mc, r2.stderr,
-                                delta[i])])
-        text = out.getvalue()
+        text = qstate._csv_text(header, ([i] + [repr(v) for v in vals]
+                                         for i, vals in enumerate(values)))
     else:
-        lines = ["  ".join(header)]
-        for i, (r1, r2) in enumerate(zip(res1.records, res2.records)):
-            vals = [*r1.target, r1.payoff_analytic, r1.payoff_mc, r1.stderr,
-                    r2.payoff_analytic, r2.payoff_mc, r2.stderr, delta[i]]
-            lines.append(f"{i}  " + "  ".join(f"{v:.10g}" for v in vals))
+        lines = ["  ".join(header)] + [f"{i}  " + "  ".join(f"{v:.10g}" for v in vals)
+                                       for i, vals in enumerate(values)]
         text = "\n".join(lines) + "\n"
     _emit(text, args, "rsp-sweep", _clean_params(args), started)
     print(f"targets {args.targets}  shots {args.shots}  "
@@ -389,6 +371,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed < 0:  # numpy seeds must be non-negative
+            raise UsageError(f"--seed expected non-negative integer, got {args.seed}")
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import IDENTITY_2, PAULIS, BlochRep, as_state, schmidt_canonical, to_bloch
+from .qstate import _A_OPS, BlochRep, as_state, schmidt_canonical, to_bloch
 from .rsp import fibonacci_sphere
 
 ANGLE_TOL = 1e-6  # radians; parallelism threshold for the special class
@@ -29,8 +29,6 @@ class NotInSpecialClass(ValueError):
 class DiscordReport:
     value: float
     k_max: float
-    special_class: bool
-    kappa: float  # component of a along the top left-singular direction; NaN outside the class
 
 
 def _special_class_from_rep(rep: BlochRep) -> tuple:
@@ -52,19 +50,19 @@ def _special_class_from_rep(rep: BlochRep) -> tuple:
 
 def check_special_class(rho) -> tuple:
     """(flag, kappa): flag is True iff a = 0, a is parallel to the top
-    eigenvector of E E^T (within 1e-6 rad), or E is isotropic."""
+    eigenvector of E E^T (within 1e-6 rad), or E is isotropic.  kappa is
+    the component of a along the top direction, NaN outside the class."""
     return _special_class_from_rep(to_bloch(rho))
 
 
 def geometric_discord(rho) -> DiscordReport:
-    """Closed-form geometric discord with special-class diagnostics."""
+    """Closed-form geometric discord and the top eigenvalue k_max of
+    a a^T + E E^T."""
     rep = to_bloch(rho)
     K = np.outer(rep.a, rep.a) + rep.E @ rep.E.T
     k_max = float(np.linalg.eigvalsh(K)[2])
     value = 0.5 * (rep.a @ rep.a + np.einsum("kl,kl->", rep.E, rep.E) - k_max)
-    special, kappa = _special_class_from_rep(rep)
-    return DiscordReport(value=max(0.0, float(value)), k_max=k_max,
-                         special_class=special, kappa=kappa)
+    return DiscordReport(value=max(0.0, float(value)), k_max=k_max)
 
 
 def discord_special_form(rho) -> float:
@@ -101,13 +99,12 @@ ORACLE_REFINED = 4  # best grid axes refined by pattern search
 _STEP_TOL = 1e-7  # radians; refinement stops once every step is below this
 
 _GRID = fibonacci_sphere(ORACLE_AXES)
-_SIGMA_A = np.stack([np.kron(s, IDENTITY_2) for s in PAULIS])
 _MOVES = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
 
 
 def _dephased_distance(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """2 Tr(rho - chi)^2 with chi = (rho + N rho N)/2, for each unit axis row of v."""
-    n = np.einsum("bk,kij->bij", v, _SIGMA_A)
+    n = np.einsum("bk,kij->bij", v, _A_OPS)
     d = m - 0.5 * (m + n @ m @ n)
     return 2.0 * np.einsum("bij,bij->b", d, d.conj()).real
 

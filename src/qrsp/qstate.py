@@ -9,6 +9,8 @@ The Bloch (Fano) form used throughout is
 with s_1 = X, s_2 = Y, s_3 = Z.  All entropies are base 2.
 """
 
+import csv
+import io
 import json
 import os
 from dataclasses import dataclass
@@ -25,10 +27,13 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-9  # eigenvalues in [-PSD_TOL, 0) are treated as rounding noise
 
-# Fixed operator basis, indexed [k][l] with k, l in {0: X, 1: Y, 2: Z}.
-_A_OPS = tuple(np.kron(s, IDENTITY_2) for s in PAULIS)
-_B_OPS = tuple(np.kron(IDENTITY_2, s) for s in PAULIS)
-_E_OPS = tuple(tuple(np.kron(sa, sb) for sb in PAULIS) for sa in PAULIS)
+# The 16 operators s_i x s_j with s_0 = 1, at index 4 i + j.  _A_OPS[k],
+# _B_OPS[l] and _E_OPS[k][l] (k, l in {0: X, 1: Y, 2: Z}) are views of it.
+_BASIS = np.stack([np.kron(sa, sb) for sa in (IDENTITY_2, *PAULIS)
+                   for sb in (IDENTITY_2, *PAULIS)])
+_A_OPS = _BASIS.reshape(4, 4, 4, 4)[1:, 0]
+_B_OPS = _BASIS.reshape(4, 4, 4, 4)[0, 1:]
+_E_OPS = _BASIS.reshape(4, 4, 4, 4)[1:, 1:]
 
 
 class StateError(ValueError):
@@ -63,22 +68,38 @@ class TwoQubitState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.shape != (4, 4):
-            raise StateError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise StateError("matrix has non-finite entries")
-        herm_defect = np.abs(m - m.conj().T).max()
-        if herm_defect > HERMITICITY_TOL:
-            raise NotHermitian(f"matrix is not Hermitian (defect {herm_defect:.3e})")
-        tr = m.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise NotUnitTrace(f"trace is {tr:.12g}, expected 1")
-        min_eig = np.linalg.eigvalsh(m)[0]
-        if min_eig < -PSD_TOL:
-            raise NotPositive(f"matrix has eigenvalue {min_eig:.3e} < -{PSD_TOL:.0e}")
+        m = _check_density(self.matrix, 4, "matrix")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+
+def _check_density(matrix, dim: int, label: str) -> np.ndarray:
+    """`matrix` as a complex dim x dim density matrix; errors start with `label`."""
+    m = np.array(matrix, dtype=complex)
+    if m.shape != (dim, dim):
+        raise StateError(f"{label} must be a {dim}x{dim} matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise StateError(f"{label} has non-finite entries")
+    herm_defect = np.abs(m - m.conj().T).max()
+    if herm_defect > HERMITICITY_TOL:
+        raise NotHermitian(f"{label} is not Hermitian (defect {herm_defect:.3e})")
+    tr = m.trace()
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise NotUnitTrace(f"{label} does not have unit trace (trace {tr:.12g})")
+    min_eig = np.linalg.eigvalsh(m)[0]
+    if min_eig < -PSD_TOL:
+        raise NotPositive(f"{label} is not positive semidefinite "
+                          f"(eigenvalue {min_eig:.3e} < -{PSD_TOL:.0e})")
+    return m
+
+
+def _unit(v, name: str) -> np.ndarray:
+    """v as a float 3-vector; ValueError unless |v| is 1 within 1e-9."""
+    v = np.asarray(v, dtype=float).reshape(3)
+    n = np.linalg.norm(v)
+    if abs(n - 1.0) > 1e-9:
+        raise ValueError(f"{name} must be a unit vector, |{name}| = {n:.6g}")
+    return v
 
 
 def as_state(rho) -> TwoQubitState:
@@ -138,11 +159,8 @@ def to_bloch(rho) -> BlochRep:
     of these traces are below 1e-10 and are discarded.
     """
     m = as_state(rho).matrix
-    a = np.array([np.einsum("ij,ji->", op, m).real for op in _A_OPS])
-    b = np.array([np.einsum("ij,ji->", op, m).real for op in _B_OPS])
-    E = np.array([[np.einsum("ij,ji->", _E_OPS[k][l], m).real for l in range(3)]
-                  for k in range(3)])
-    return BlochRep(a=a, b=b, E=E)
+    t = np.einsum("kij,ji->k", _BASIS, m).real.reshape(4, 4)
+    return BlochRep(a=t[1:, 0], b=t[0, 1:], E=t[1:, 1:])
 
 
 def bloch_matrix(a, b, E) -> np.ndarray:
@@ -160,15 +178,11 @@ def bloch_matrix(a, b, E) -> np.ndarray:
 
 
 def from_bloch(rep: BlochRep) -> TwoQubitState:
-    """Inverse of to_bloch.  Raises NotAState if the assembly is not PSD."""
-    m = bloch_matrix(rep.a, rep.b, rep.E)
-    if not np.isfinite(m).all():
-        raise NotAState("Bloch coefficients are not finite")
-    min_eig = np.linalg.eigvalsh(m)[0]
-    if min_eig < -PSD_TOL:
-        raise NotAState(
-            f"Bloch coefficients give eigenvalue {min_eig:.6g} < -{PSD_TOL:.0e}")
-    return TwoQubitState(m)
+    """Inverse of to_bloch.  Raises NotAState if the assembly is not a state."""
+    try:
+        return TwoQubitState(bloch_matrix(rep.a, rep.b, rep.E))
+    except StateError as exc:
+        raise NotAState(f"Bloch coefficients do not give a state: {exc}") from exc
 
 
 def schmidt_canonical(E) -> SchmidtForm:
@@ -282,10 +296,7 @@ def concurrence(rho) -> float:
 
 def su2_rotation(axis, angle: float) -> np.ndarray:
     """The 2x2 unitary exp(-i angle/2 axis.sigma) for a unit axis."""
-    axis = np.asarray(axis, dtype=float).reshape(3)
-    n = np.linalg.norm(axis)
-    if abs(n - 1.0) > 1e-9:
-        raise ValueError(f"rotation axis must be a unit vector, |axis| = {n:.6g}")
+    axis = _unit(axis, "axis")
     h = axis[0] * SIGMA_X + axis[1] * SIGMA_Y + axis[2] * SIGMA_Z
     return np.cos(angle / 2.0) * IDENTITY_2 - 1.0j * np.sin(angle / 2.0) * h
 
@@ -307,8 +318,19 @@ def apply_local_unitaries(rho, u_a: np.ndarray, u_b: np.ndarray) -> TwoQubitStat
 
 
 # ---------------------------------------------------------------------------
-# state files
+# state files and output text
 # ---------------------------------------------------------------------------
+
+def _float_array(value, field: str, shape: tuple) -> np.ndarray:
+    """A JSON field as a float array of the given shape, or StateError naming it."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StateError(f"'{field}' is not an array of numbers: {exc}") from exc
+    if arr.shape != shape:
+        raise StateError(f"'{field}' must have shape {shape}, got {arr.shape}")
+    return arr
+
 
 def load_state_file(path) -> TwoQubitState:
     """Read a state from a JSON document.
@@ -316,9 +338,13 @@ def load_state_file(path) -> TwoQubitState:
     Exactly one of the fields must be present:
       "matrix": 4x4 array of [re, im] pairs, row-major, basis |00>,|01>,|10>,|11>
       "bloch":  {"a": [3], "b": [3], "E": [[3],[3],[3]]}
+    A document that is not UTF-8 JSON of this form raises StateError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # undecodable bytes or invalid JSON
+        raise StateError(f"state file is not UTF-8 JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise StateError("state file must be a JSON object")
     has_m = "matrix" in doc
@@ -326,18 +352,14 @@ def load_state_file(path) -> TwoQubitState:
     if has_m == has_b:
         raise StateError("state file must contain exactly one of 'matrix' or 'bloch'")
     if has_m:
-        arr = np.asarray(doc["matrix"], dtype=float)
-        if arr.shape != (4, 4, 2):
-            raise StateError(f"'matrix' must be 4x4 [re, im] pairs, got shape {arr.shape}")
+        arr = _float_array(doc["matrix"], "matrix", (4, 4, 2))
         return TwoQubitState(arr[..., 0] + 1.0j * arr[..., 1])
     bl = doc["bloch"]
-    try:
-        rep = BlochRep(a=np.asarray(bl["a"], dtype=float),
-                       b=np.asarray(bl["b"], dtype=float),
-                       E=np.asarray(bl["E"], dtype=float))
-    except (KeyError, TypeError) as exc:
-        raise StateError(f"malformed 'bloch' field: {exc}") from exc
-    return from_bloch(rep)
+    if not isinstance(bl, dict) or not {"a", "b", "E"} <= bl.keys():
+        raise StateError("'bloch' must be an object with fields 'a', 'b' and 'E'")
+    return from_bloch(BlochRep(a=_float_array(bl["a"], "bloch.a", (3,)),
+                               b=_float_array(bl["b"], "bloch.b", (3,)),
+                               E=_float_array(bl["E"], "bloch.E", (3, 3))))
 
 
 def save_state_file(rho, path, form: str = "matrix") -> None:
@@ -353,8 +375,29 @@ def save_state_file(rho, path, form: str = "matrix") -> None:
                          "E": rep.E.tolist()}}
     else:
         raise ValueError(f"form must be 'matrix' or 'bloch', got {form!r}")
+    _atomic_write(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+
+
+def _atomic_write(path, text: str) -> None:
+    """Write text to path through a temporary file and an atomic rename."""
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
     os.replace(tmp, path)
+
+
+def _csv_text(header, rows) -> str:
+    """CSV text of one header row and the data rows, each ended by a newline."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def _csv_rows(text: str, header) -> list:
+    """The data rows of CSV text, after checking its header row."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows or rows[0] != header:
+        raise ValueError(f"expected header {','.join(header)}")
+    return rows[1:]

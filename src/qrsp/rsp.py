@@ -8,13 +8,11 @@ measurement axis the payoff is |E s|^2, its worst-case average over
 targets in the plane is the protocol fidelity (E2^2 + E3^2)/2.
 """
 
-import io
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import to_bloch
+from .qstate import _csv_rows, _csv_text, _unit, to_bloch
 
 PROB_TOL = 1e-12
 BRANCH_SNAP_TOL = 1e-12  # branch payoff projections closer than this are identical
@@ -25,14 +23,6 @@ _CSV_HEADER = ["target_index", "sx", "sy", "sz", "beta_x", "beta_y", "beta_z",
 
 class ZeroProbabilityBranch(ValueError):
     """Conditioning on a measurement branch of probability <= 1e-12."""
-
-
-def _unit(v, name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float).reshape(3)
-    n = np.linalg.norm(v)
-    if abs(n - 1.0) > 1e-9:
-        raise ValueError(f"{name} must be a unit vector, |{name}| = {n:.6g}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -84,25 +74,15 @@ class SweepResult:
 
     def to_csv(self) -> str:
         """Serialize with full-precision floats (parse back within 1e-12)."""
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(_CSV_HEADER)
-        for i, r in enumerate(self.records):
-            writer.writerow([i]
-                            + [repr(float(x)) for x in r.target]
-                            + [repr(float(x)) for x in r.beta]
-                            + [repr(float(r.payoff_analytic)),
-                               repr(float(r.payoff_mc)),
-                               repr(float(r.stderr)), r.shots])
-        return out.getvalue()
+        return _csv_text(_CSV_HEADER, (
+            [i] + [repr(float(x)) for x in (*r.target, *r.beta, r.payoff_analytic,
+                                            r.payoff_mc, r.stderr)] + [r.shots]
+            for i, r in enumerate(self.records)))
 
     @classmethod
     def from_csv(cls, text: str) -> "SweepResult":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0] != _CSV_HEADER:
-            raise ValueError(f"expected header {','.join(_CSV_HEADER)}")
         records = []
-        for row in rows[1:]:
+        for row in _csv_rows(text, _CSV_HEADER):
             vals = [float(x) for x in row[1:10]]
             records.append(SweepRecord(
                 target=np.array(vals[0:3]), beta=np.array(vals[3:6]),
@@ -126,13 +106,21 @@ class SweepResult:
 # exact protocol algebra
 # ---------------------------------------------------------------------------
 
+def _branch(rep, alpha_hat, outcome: int) -> tuple:
+    """(P, b_out) for `outcome` along alpha_hat, as in outcome_probability and
+    bob_conditional_state; b_out is None when P <= 1e-12."""
+    prob = 0.5 * (1.0 + outcome * (alpha_hat @ rep.a))
+    if prob <= PROB_TOL:
+        return prob, None
+    return prob, (rep.b + outcome * (rep.E.T @ alpha_hat)) / (2.0 * prob)
+
+
 def outcome_probability(rho, alpha_hat, outcome: int) -> float:
     """P(outcome) = (1 + outcome * alpha_hat . a) / 2."""
     alpha_hat = _unit(alpha_hat, "alpha_hat")
     if outcome not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    rep = to_bloch(rho)
-    return float(0.5 * (1.0 + outcome * (alpha_hat @ rep.a)))
+    return float(_branch(to_bloch(rho), alpha_hat, outcome)[0])
 
 
 def bob_conditional_state(rho, alpha_hat, outcome: int) -> np.ndarray:
@@ -143,19 +131,22 @@ def bob_conditional_state(rho, alpha_hat, outcome: int) -> np.ndarray:
     alpha_hat = _unit(alpha_hat, "alpha_hat")
     if outcome not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    rep = to_bloch(rho)
-    prob = 0.5 * (1.0 + outcome * (alpha_hat @ rep.a))
-    if prob <= PROB_TOL:
+    prob, vec = _branch(to_bloch(rho), alpha_hat, outcome)
+    if vec is None:
         raise ZeroProbabilityBranch(
             f"branch outcome={outcome:+d} has probability {prob:.3e}")
-    return (rep.b + outcome * (rep.E.T @ alpha_hat)) / (2.0 * prob)
+    return vec
+
+
+def _correct(v: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Pi rotation of v about the unit axis beta."""
+    return 2.0 * (v @ beta) * beta - v
 
 
 def apply_correction(v, beta) -> np.ndarray:
     """Pi rotation about beta: v -> 2 (v.beta) beta - v."""
     beta = _unit(beta, "beta")
-    v = np.asarray(v, dtype=float).reshape(3)
-    return 2.0 * (v @ beta) * beta - v
+    return _correct(np.asarray(v, dtype=float).reshape(3), beta)
 
 
 def ensemble_state(rho, alpha_hat, beta) -> np.ndarray:
@@ -169,12 +160,11 @@ def ensemble_state(rho, alpha_hat, beta) -> np.ndarray:
     rep = to_bloch(rho)
     r = np.zeros(3)
     for outcome in (1, -1):
-        prob = 0.5 * (1.0 + outcome * (alpha_hat @ rep.a))
-        if prob <= PROB_TOL:
+        prob, vec = _branch(rep, alpha_hat, outcome)
+        if vec is None:
             continue
-        vec = (rep.b + outcome * (rep.E.T @ alpha_hat)) / (2.0 * prob)
         if outcome == -1:
-            vec = 2.0 * (vec @ beta) * beta - vec
+            vec = _correct(vec, beta)
         r = r + prob * vec
     return r
 
@@ -199,8 +189,10 @@ def optimal_alpha(rho, s) -> np.ndarray:
 
     For |E s| <= 1e-12 every axis scores 0; the convention is +x.
     """
-    s = _unit(s, "s")
-    rep = to_bloch(rho)
+    return _optimal_alpha(to_bloch(rho), _unit(s, "s"))
+
+
+def _optimal_alpha(rep, s: np.ndarray) -> np.ndarray:
     es = rep.E @ s
     n = np.linalg.norm(es)
     if n <= 1e-12:
@@ -277,32 +269,25 @@ def simulate(rho, config: ProtocolConfig, shots: int, seed) -> SweepRecord:
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    alpha_hat = config.alpha
-    if alpha_hat is None:
-        alpha_hat = optimal_alpha(rho, config.target)
     rep = to_bloch(rho)
     s = config.target
     beta = config.beta
+    alpha_hat = config.alpha
+    if alpha_hat is None:
+        alpha_hat = _optimal_alpha(rep, s)
 
-    branch = {}
-    prob = {}
-    for outcome in (1, -1):
-        p = 0.5 * (1.0 + outcome * (alpha_hat @ rep.a))
-        prob[outcome] = p
-        if p <= PROB_TOL:
-            branch[outcome] = np.zeros(3)  # never sampled
-            continue
-        vec = (rep.b + outcome * (rep.E.T @ alpha_hat)) / (2.0 * p)
-        if outcome == -1:
-            vec = 2.0 * (vec @ beta) * beta - vec
-        branch[outcome] = vec
+    p_plus, b_plus = _branch(rep, alpha_hat, 1)
+    _, b_minus = _branch(rep, alpha_hat, -1)
+    never = np.zeros(3)  # stands in for a branch that is never sampled
+    b_plus = never if b_plus is None else b_plus
+    b_minus = never if b_minus is None else _correct(b_minus, beta)
 
     rng = np.random.default_rng(seed)
-    p_plus = float(np.clip(prob[1], 0.0, 1.0))
+    p_plus = float(np.clip(p_plus, 0.0, 1.0))
     n_plus = int(rng.binomial(shots, p_plus))
     f = n_plus / shots
-    base = float(branch[-1] @ s)
-    step = float((branch[1] - branch[-1]) @ s)
+    base = float(b_minus @ s)
+    step = float((b_plus - b_minus) @ s)
     if abs(step) <= BRANCH_SNAP_TOL:
         step = 0.0
     g = base + f * step

@@ -8,6 +8,8 @@ from .qstate import (
     IDENTITY_2,
     PAULIS,
     TwoQubitState,
+    _check_density,
+    _unit,
     apply_local_unitaries,
     as_state,
 )
@@ -93,12 +95,7 @@ def rho_b(k: float, t: float) -> TwoQubitState:
     """
     k = float(k)
     t = float(t)
-    weights = {
-        "psi_plus": (1.0 - k) / 4.0,
-        "psi_minus": (1.0 + 3.0 * k) / 4.0,
-        "00": (1.0 + 2.0 * t - k) / 4.0,
-        "11": (1.0 - 2.0 * t - k) / 4.0,
-    }
+    weights = rho_b_weights(k, t)
     for name, w in weights.items():
         if not w >= -WEIGHT_TOL:  # also rejects NaN
             raise InvalidWeights(
@@ -127,19 +124,6 @@ def _qubit_from_bloch(r: np.ndarray) -> np.ndarray:
     return 0.5 * (IDENTITY_2 + r[0] * PAULIS[0] + r[1] * PAULIS[1] + r[2] * PAULIS[2])
 
 
-def _check_qubit(rho1: np.ndarray, label: str) -> np.ndarray:
-    m = np.asarray(rho1, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"{label} must be a 2x2 density matrix")
-    if np.abs(m - m.conj().T).max() > 1e-10:
-        raise ValueError(f"{label} is not Hermitian")
-    if abs(m.trace() - 1.0) > 1e-10:
-        raise ValueError(f"{label} does not have unit trace")
-    if np.linalg.eigvalsh(m)[0] < -1e-9:
-        raise ValueError(f"{label} is not positive semidefinite")
-    return m
-
-
 def zero_discord(p: float, v, rho1, rho2) -> TwoQubitState:
     """Classical-quantum state  p P+ x rho1 + (1-p) P- x rho2.
 
@@ -150,11 +134,9 @@ def zero_discord(p: float, v, rho1, rho2) -> TwoQubitState:
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p:.6g}")
-    v = np.asarray(v, dtype=float).reshape(3)
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-        raise ValueError(f"v must be a unit vector, |v| = {np.linalg.norm(v):.6g}")
-    r1 = _check_qubit(rho1, "rho1")
-    r2 = _check_qubit(rho2, "rho2")
+    v = _unit(v, "v")
+    r1 = _check_density(rho1, 2, "rho1")
+    r2 = _check_density(rho2, 2, "rho2")
     pv = _qubit_from_bloch(v)
     mv = _qubit_from_bloch(-v)
     return TwoQubitState(p * np.kron(pv, r1) + (1.0 - p) * np.kron(mv, r2))
@@ -191,15 +173,13 @@ def random_state(seed, rank: int = 4) -> TwoQubitState:
     return TwoQubitState(0.5 * (m + m.conj().T))
 
 
-def _ball_point(rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(3)
-    v /= np.linalg.norm(v)
-    return v * rng.random() ** (1.0 / 3.0)
-
-
 def _sphere_point(rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
+
+
+def _ball_point(rng: np.random.Generator) -> np.ndarray:
+    return _sphere_point(rng) * rng.random() ** (1.0 / 3.0)
 
 
 def random_zero_discord(seed) -> TwoQubitState:

@@ -10,8 +10,6 @@ the empirical frequencies followed by a nearest-by-clipping PSD repair
 (negative eigenvalues set to 0, trace renormalized) when needed.
 """
 
-import io
-import csv
 import logging
 from dataclasses import dataclass
 
@@ -20,6 +18,8 @@ import numpy as np
 from .qstate import (
     IDENTITY_2,
     TwoQubitState,
+    _csv_rows,
+    _csv_text,
     apply_local_unitaries,
     as_state,
     bloch_matrix,
@@ -61,20 +61,13 @@ class CountRecord:
 
 
 def records_to_csv(records) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_COUNT_HEADER)
-    for r in records:
-        writer.writerow([r.setting[0], r.setting[1], *r.counts])
-    return out.getvalue()
+    return _csv_text(_COUNT_HEADER, ([*r.setting, *r.counts] for r in records))
 
 
 def records_from_csv(text: str):
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != _COUNT_HEADER:
-        raise ValueError(f"expected header {','.join(_COUNT_HEADER)}")
     return [CountRecord(setting=(int(r[0]), int(r[1])),
-                        counts=tuple(int(c) for c in r[2:6])) for r in rows[1:]]
+                        counts=tuple(int(c) for c in r[2:6]))
+            for r in _csv_rows(text, _COUNT_HEADER)]
 
 
 def measurement_probabilities(rho, setting) -> np.ndarray:
@@ -130,12 +123,10 @@ def mixture_by_duration(components, mean_rate: float, seed):
     for k, l in SETTINGS:
         counts = np.zeros(4, dtype=np.int64)
         for i, (state, w) in enumerate(comps):
-            if w == 0.0:
-                continue
-            p = measurement_probabilities(state, (k, l))
-            rng = np.random.default_rng(np.random.SeedSequence([int(seed), k, l, i]))
-            counts += rng.poisson(mean_rate * w * p)
-        records.append(CountRecord(setting=(k, l), counts=tuple(int(c) for c in counts)))
+            if w > 0.0:
+                counts += sample_counts(state, (k, l), mean_rate * w,
+                                        np.random.SeedSequence([int(seed), k, l, i])).counts
+        records.append(CountRecord(setting=(k, l), counts=counts))
     return records
 
 

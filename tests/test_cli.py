@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qrsp.cli import evaluate_oracle_gaps, main, quantities_of
-from qrsp.qstate import save_state_file, state_fidelity
+from qrsp.qstate import StateError, load_state_file, save_state_file, state_fidelity
 from qrsp.states import rho_b, werner
 from qrsp.rsp import SweepResult
 
@@ -111,10 +111,37 @@ def test_characterize_noise_with_rotation(capsys):
     ["oracle-check", "--ensemble", "random:1:0"],
     ["oracle-check", "--ensemble", "random:1", "--grid-points", "0"],
     ["oracle-check", "--ensemble", "random:1", "--format", "csv"],
+    ["rsp-sweep", "--state", "werner", "--lambda", "0.5", "--state2", "maximally-mixed",
+     "--targets", "0"],
+    ["rsp-sweep", "--state", "werner", "--lambda", "0.5", "--state2", "maximally-mixed",
+     "--shots", "0"],
+    ["rsp-sweep", "--state", "werner", "--lambda", "0.5", "--state2", "maximally-mixed",
+     "--seed", "-1"],
+    ["oracle-check", "--ensemble", "random:1", "--seed", "-1"],
+    ["characterize", "--state", "werner", "--lambda", "0.5", "--noise", "poisson:1e4",
+     "--seed", "-1"],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     assert main(argv) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content,field", [
+    (b'{"matrix": [[{"x": 1}]]}', "'matrix'"),
+    (b'{"matrix": [[[1' + b"0" * 400 + b', 0]]]}', "'matrix'"),
+    (b'{"matrix": "abc"}', "'matrix'"),
+    (b'{"matrix": [[[1, 0], [0, 0]], [[0, 0]]]}', "'matrix'"),
+    (b'{"bloch": {"a": [0, 0], "b": [0, 0, 0], "E": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}}',
+     "'bloch.a'"),
+    (b'{"matrix": "\xff\xfe"}', "UTF-8"),
+], ids=["object-entry", "400-digit-integer", "string", "ragged", "short-bloch-a", "not-utf-8"])
+def test_malformed_state_file_is_a_state_error(content, field, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_bytes(content)
+    with pytest.raises(StateError, match=field):
+        load_state_file(path)
+    assert main(["characterize", "--state", f"file:{path}"]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_validation_errors_exit_2(tmp_path, capsys):

@@ -69,9 +69,9 @@ def test_closed_form_reference_values():
 
 
 def test_special_class_zero_a():
-    report = geometric_discord(werner(0.7))
-    assert report.special_class
-    assert report.kappa == 0.0
+    flag, kappa = check_special_class(werner(0.7))
+    assert flag
+    assert kappa == 0.0
 
 
 def test_special_class_isotropic():
@@ -102,10 +102,10 @@ def test_special_form_matches_closed_form_in_class():
 
 def test_special_form_rejected_outside_class():
     state = _skew_state()
-    report = geometric_discord(state)
-    assert not report.special_class
-    assert math.isnan(report.kappa)
-    assert abs(report.value - 0.08) < 1e-12
+    flag, kappa = check_special_class(state)
+    assert not flag
+    assert math.isnan(kappa)
+    assert abs(geometric_discord(state).value - 0.08) < 1e-12
     with pytest.raises(NotInSpecialClass):
         discord_special_form(state)
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qrsp import qstate, states
 from qrsp.qstate import (
@@ -84,6 +86,47 @@ def test_round_trip_seeded_states():
         rep = to_bloch(rho)
         back = from_bloch(rep)
         np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-10)
+
+
+def _to_bloch_reference(m: np.ndarray) -> tuple:
+    """(a, b, E) by one trace per Pauli product, in the order of the 15 einsums
+    that to_bloch's single batched einsum replaced."""
+    i2 = qstate.IDENTITY_2
+    a = np.array([np.einsum("ij,ji->", np.kron(s, i2), m).real for s in qstate.PAULIS])
+    b = np.array([np.einsum("ij,ji->", np.kron(i2, s), m).real for s in qstate.PAULIS])
+    E = np.array([[np.einsum("ij,ji->", np.kron(sa, sb), m).real for sb in qstate.PAULIS]
+                  for sa in qstate.PAULIS])
+    return a, b, E
+
+
+@st.composite
+def _drawn_states(draw):
+    """rho = G G^+ / Tr(G G^+) for a drawn complex 4 x r matrix G, r in 1..4."""
+    rank = draw(st.integers(1, 4))
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=8 * rank, max_size=8 * rank))
+    g = np.array(parts).reshape(2, 4, rank)
+    g = g[0] + 1j * g[1]
+    m = g @ g.conj().T
+    tr = np.trace(m).real
+    assume(tr > 1e-3)
+    return TwoQubitState(m / tr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rho=_drawn_states())
+def test_to_bloch_bit_identical_to_per_operator_traces(rho):
+    rep = to_bloch(rho)
+    a, b, E = _to_bloch_reference(rho.matrix)
+    assert np.array_equal(rep.a, a)
+    assert np.array_equal(rep.b, b)
+    assert np.array_equal(rep.E, E)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rho=_drawn_states())
+def test_from_bloch_inverts_to_bloch(rho):
+    np.testing.assert_allclose(from_bloch(to_bloch(rho)).matrix, rho.matrix,
+                               rtol=0.0, atol=1e-12)
 
 
 def test_from_bloch_rejects_unphysical():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrsp.qstate import BlochRep, from_bloch, to_bloch
 from qrsp.states import (
@@ -301,6 +303,23 @@ def test_sweep_csv_round_trip():
         assert r1.stderr == r2.stderr
         assert r1.shots == r2.shots
     assert back.to_csv() == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(st.tuples(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=9, max_size=9),
+    st.integers(1, 10**12)), max_size=12))
+def test_sweep_csv_round_trip_is_exact(rows):
+    result = SweepResult(tuple(
+        SweepRecord(target=np.array(v[0:3]), beta=np.array(v[3:6]), payoff_analytic=v[6],
+                    payoff_mc=v[7], stderr=v[8], shots=shots) for v, shots in rows))
+    back = SweepResult.from_csv(result.to_csv())
+    assert len(back.records) == len(result.records)
+    for r1, r2 in zip(result.records, back.records):
+        assert np.array_equal(r1.target, r2.target)
+        assert np.array_equal(r1.beta, r2.beta)
+        assert (r1.payoff_analytic, r1.payoff_mc, r1.stderr, r1.shots) == \
+            (r2.payoff_analytic, r2.payoff_mc, r2.stderr, r2.shots)
 
 
 def test_sweep_csv_header_checked():

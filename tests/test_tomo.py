@@ -4,6 +4,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrsp.qstate import purity, state_fidelity, to_bloch, unitary_to_rotation, su2_rotation
 from qrsp.discord import geometric_discord
@@ -96,6 +98,14 @@ def test_records_csv_round_trip():
         [(r.setting, r.counts) for r in records]
     with pytest.raises(ValueError, match="header"):
         records_from_csv("a,b\n1,2\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=st.lists(st.builds(
+    CountRecord, setting=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    counts=st.tuples(*[st.integers(0, 10**15)] * 4)), max_size=12))
+def test_records_csv_round_trip_is_exact(records):
+    assert records_from_csv(records_to_csv(records)) == records
 
 
 def test_linear_inversion_recovers_exact_frequencies():
