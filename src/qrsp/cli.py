@@ -20,6 +20,7 @@ DISCORD_GAP_TOL = 1e-3
 FIDELITY_GAP_TOL = 5e-3
 DOMINANCE_TOL = 1e-6
 ZERO_DISCORD_TOL = 1e-9
+MAX_MEAN_TOTAL = 1e18  # below numpy's largest Poisson mean (~9.2e18); every p <= 1
 
 _QUANTITIES = ("fidelity", "purity", "concurrence", "discord", "rsp_fidelity")
 
@@ -62,8 +63,8 @@ def _parse_noise(text: str) -> NoiseSpec:
         mean_total = float(head[1])
     except ValueError as exc:
         raise UsageError(f"bad mean_total in noise spec {text!r}") from exc
-    if not np.isfinite(mean_total) or mean_total <= 0.0:
-        raise UsageError(f"mean_total must be finite and > 0 in noise spec {text!r}")
+    if not 0.0 < mean_total <= MAX_MEAN_TOTAL:  # also rejects NaN
+        raise UsageError(f"mean_total must be in (0, {MAX_MEAN_TOTAL:.0e}] in noise spec {text!r}")
     if len(parts) > 2:
         raise UsageError(f"noise spec {text!r} has more than one rot: component")
     spec = NoiseSpec(mean_total=mean_total)
@@ -189,8 +190,8 @@ def cmd_rsp_sweep(args) -> int:
     started = time.monotonic()
     if args.targets < 1:
         raise UsageError("--targets must be >= 1")
-    if args.shots < 1:
-        raise UsageError("--shots must be >= 1")
+    if not 1 <= args.shots < 2**63:  # numpy's binomial takes a C long
+        raise UsageError("--shots must be in [1, 2**63)")
     rho1 = _resolve_state(args.state, args)
     rho2 = _resolve_state(args.state2, args)
     if args.noise:
@@ -378,8 +379,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (qstate.StateError, states.InvalidWeights, tomo.MissingSetting,
-            tomo.EmptyCounts, rsp.ZeroProbabilityBranch, ValueError,
-            OSError, json.JSONDecodeError) as exc:
+            tomo.EmptyCounts, rsp.ZeroProbabilityBranch, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import _A_OPS, BlochRep, as_state, schmidt_canonical, to_bloch
+from .qstate import _A_OPS, as_state, schmidt_canonical, to_bloch
 from .rsp import fibonacci_sphere
 
 ANGLE_TOL = 1e-6  # radians; parallelism threshold for the special class
@@ -31,7 +31,11 @@ class DiscordReport:
     k_max: float
 
 
-def _special_class_from_rep(rep: BlochRep) -> tuple:
+def check_special_class(rho) -> tuple:
+    """(flag, kappa): flag is True iff a = 0, a is parallel to the top
+    eigenvector of E E^T (within 1e-6 rad), or E is isotropic.  kappa is
+    the component of a along the top direction, NaN outside the class."""
+    rep = to_bloch(rho)
     a = rep.a
     w, vecs = np.linalg.eigh(rep.E @ rep.E.T)  # ascending
     sv = np.sqrt(np.clip(w, 0.0, None))
@@ -46,13 +50,6 @@ def _special_class_from_rep(rep: BlochRep) -> tuple:
     if angle <= ANGLE_TOL:
         return True, float(np.linalg.norm(proj))
     return False, float("nan")
-
-
-def check_special_class(rho) -> tuple:
-    """(flag, kappa): flag is True iff a = 0, a is parallel to the top
-    eigenvector of E E^T (within 1e-6 rad), or E is isotropic.  kappa is
-    the component of a along the top direction, NaN outside the class."""
-    return _special_class_from_rep(to_bloch(rho))
 
 
 def geometric_discord(rho) -> DiscordReport:
@@ -70,13 +67,12 @@ def discord_special_form(rho) -> float:
 
     Valid only in the special class; raises NotInSpecialClass otherwise.
     """
-    rep = to_bloch(rho)
-    special, _ = _special_class_from_rep(rep)
+    special, _ = check_special_class(rho)
     if not special:
         raise NotInSpecialClass(
             "a is neither zero nor aligned with the top singular direction, "
             "and E is not isotropic")
-    sv = schmidt_canonical(rep.E).singular_values
+    sv = schmidt_canonical(to_bloch(rho).E).singular_values
     return float(0.5 * (sv[1] ** 2 + sv[2] ** 2))
 
 

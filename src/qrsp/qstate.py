@@ -14,6 +14,7 @@ import io
 import json
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +72,12 @@ class TwoQubitState:
         m = _check_density(self.matrix, 4, "matrix")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    @cached_property
+    def bloch(self) -> "BlochRep":
+        """The Bloch triple (a, b, E), extracted on first use and then kept."""
+        t = np.einsum("kij,ji->k", _BASIS, self.matrix).real.reshape(4, 4)
+        return BlochRep(a=t[1:, 0], b=t[0, 1:], E=t[1:, 1:])
 
 
 def _check_density(matrix, dim: int, label: str) -> np.ndarray:
@@ -158,9 +165,7 @@ def to_bloch(rho) -> BlochRep:
     E_kl = Tr((s_k x s_l) rho).  For Hermitian input the imaginary parts
     of these traces are below 1e-10 and are discarded.
     """
-    m = as_state(rho).matrix
-    t = np.einsum("kij,ji->k", _BASIS, m).real.reshape(4, 4)
-    return BlochRep(a=t[1:, 0], b=t[0, 1:], E=t[1:, 1:])
+    return as_state(rho).bloch
 
 
 def bloch_matrix(a, b, E) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import _csv_rows, _csv_text, _unit, to_bloch
+from .qstate import _csv_rows, _csv_text, _unit, as_state, to_bloch
 
 PROB_TOL = 1e-12
 BRANCH_SNAP_TOL = 1e-12  # branch payoff projections closer than this are identical
@@ -189,11 +189,7 @@ def optimal_alpha(rho, s) -> np.ndarray:
 
     For |E s| <= 1e-12 every axis scores 0; the convention is +x.
     """
-    return _optimal_alpha(to_bloch(rho), _unit(s, "s"))
-
-
-def _optimal_alpha(rep, s: np.ndarray) -> np.ndarray:
-    es = rep.E @ s
+    es = to_bloch(rho).E @ _unit(s, "s")
     n = np.linalg.norm(es)
     if n <= 1e-12:
         return np.array([1.0, 0.0, 0.0])
@@ -231,8 +227,8 @@ def rsp_fidelity_oracle(rho, grid_points: int = 10000) -> float:
     above as the grid is refined.
     """
     rep = to_bloch(rho)
-    grid = fibonacci_sphere(grid_points)
-    norms = np.einsum("nk,nk->n", grid @ rep.E.T, grid @ rep.E.T)
+    ge = fibonacci_sphere(grid_points) @ rep.E.T
+    norms = np.einsum("nk,nk->n", ge, ge)
     total = np.einsum("kl,kl->", rep.E, rep.E)
     return float(0.5 * (total - norms.max()))
 
@@ -269,12 +265,13 @@ def simulate(rho, config: ProtocolConfig, shots: int, seed) -> SweepRecord:
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    rho = as_state(rho)  # optimal_alpha below reuses its Bloch triple
     rep = to_bloch(rho)
     s = config.target
     beta = config.beta
     alpha_hat = config.alpha
     if alpha_hat is None:
-        alpha_hat = _optimal_alpha(rep, s)
+        alpha_hat = optimal_alpha(rho, s)
 
     p_plus, b_plus = _branch(rep, alpha_hat, 1)
     _, b_minus = _branch(rep, alpha_hat, -1)

@@ -1,16 +1,22 @@
 """End-to-end command line checks: outputs, manifests, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qrsp import qstate
 from qrsp.cli import evaluate_oracle_gaps, main, quantities_of
 from qrsp.qstate import StateError, load_state_file, save_state_file, state_fidelity
 from qrsp.states import rho_b, werner
-from qrsp.rsp import SweepResult
+from qrsp.rsp import ProtocolConfig, SweepResult, run_round
 
 
 def _parse_text(out: str) -> dict:
@@ -120,6 +126,9 @@ def test_characterize_noise_with_rotation(capsys):
     ["oracle-check", "--ensemble", "random:1", "--seed", "-1"],
     ["characterize", "--state", "werner", "--lambda", "0.5", "--noise", "poisson:1e4",
      "--seed", "-1"],
+    ["characterize", "--state", "werner", "--lambda", "0.5", "--noise", "poisson:1e20"],
+    ["rsp-sweep", "--state", "werner", "--lambda", "0.5", "--state2", "maximally-mixed",
+     "--shots", str(2**63)],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     assert main(argv) == 1
@@ -310,3 +319,161 @@ def test_quantities_of_against_modules():
     noisy = werner(0.59)
     rows = quantities_of(noisy, ideal=state)
     assert rows["fidelity"] == pytest.approx(state_fidelity(noisy, state), abs=1e-15)
+
+
+_W3 = "0.3333333333333333"
+
+
+@pytest.mark.parametrize("run,built", [
+    (lambda: run_round(rho_b(0.2, 0.4), ProtocolConfig(beta=[0, 0, 1], target=[1, 0, 0]),
+                       np.random.default_rng(0)), 1),
+    (lambda: main(["rsp-sweep", "--state", "rho_b", "--k", "0.2", "--t", "0.4",
+                   "--state2", "werner", "--lambda", _W3, "--seed", "1"]), 2),
+    (lambda: main(["characterize", "--state", "werner", "--lambda", "0.5",
+                   "--noise", "poisson:1e5", "--seed", "7"]), 2),
+], ids=["run_round", "rsp-sweep", "noisy-characterize"])
+def test_each_state_builds_its_bloch_triple_once(run, built, monkeypatch, capsys):
+    reps = []
+
+    class CountingBlochRep(qstate.BlochRep):
+        def __post_init__(self):
+            reps.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(qstate, "BlochRep", CountingBlochRep)
+    run()
+    capsys.readouterr()
+    assert len(reps) == built
+
+
+# SHA-256 of main()'s (stdout, stderr) for seeded runs, so every seeded output stays
+# byte-identical across refactors.  Re-pin a hash only in a change that says why,
+# for example a numpy upgrade that changes its generator streams.
+_RHO_B = ["--state", "rho_b", "--k", "0.2", "--t", "0.4"]
+_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+_GOLDEN = {
+    "characterize": (
+        ["characterize", *_RHO_B, "--format", "csv"],
+        "3787eccecf7b158c053dc386f9cec020a238655508a65b4ad723416c77702c98", _EMPTY),
+    "characterize-noise-rot": (
+        ["characterize", *_RHO_B, "--format", "csv", "--noise", "poisson:1e5,rot:z:0.1",
+         "--seed", "7"],
+        "789f179ccee941f8bd81bff389fb26bfaf8f0ea184f231cc699d0fc7698bf6a8", _EMPTY),
+    "characterize-werner-noise": (
+        ["characterize", "--state", "werner", "--lambda", "0.8", "--format", "csv",
+         "--noise", "poisson:1e3", "--seed", "5"],
+        "490a967d30fa2389caf2963ec8d9f48dafa20d51297e8334c34e57951477dc30", _EMPTY),
+    "rsp-sweep": (
+        ["rsp-sweep", *_RHO_B, "--state2", "werner", "--lambda", _W3, "--seed", "1",
+         "--format", "csv"],
+        "2b23b119fab14a73abcea2dbc7b992673f9f7c92bc0c35bea9164d6c82a6faf4",
+        "fdd4bd9a40e1b9c458c4873bf7397caef71b7a0b496589a8a9c06cc64a8b0525"),
+    "rsp-sweep-noise": (
+        ["rsp-sweep", *_RHO_B, "--state2", "werner", "--lambda", _W3, "--seed", "1",
+         "--format", "csv", "--noise", "poisson:1e4"],
+        "1c4ad5713a94b6f657b51177e52e1d4f4eccc69a2846cb49e43a446c6fc5bc88",
+        "32ad1eb75aee6e9def91d7591a7d0e9ceec971891018e7bfb1c66a4d1cd264e6"),
+    "oracle-check-random": (
+        ["oracle-check", "--ensemble", "random:50", "--seed", "3"],
+        "efd1cffae9356e7b2a6ccae15468af6e9fc6aadaa73d2aa856c6d6660d74ab4c", _EMPTY),
+    "oracle-check-zero-discord": (
+        ["oracle-check", "--ensemble", "zero-discord:20", "--seed", "3"],
+        "b28089c6bb4d86527d0f5dee5b6f6c56bb2d5422fc08b72d92e4eba01ebf3746", _EMPTY),
+}
+
+
+@pytest.mark.parametrize("name", _GOLDEN)
+def test_seeded_outputs_are_byte_identical(name, capsys):
+    argv, out_sha, err_sha = _GOLDEN[name]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == out_sha
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == err_sha
+
+
+# Command lines drawn from the CLI grammar: each subcommand's own flags, each
+# present or not, in any order, with values mostly well-formed and in range; some
+# runs also get one more flag or token from anywhere.  Sizes stay small
+# (--targets <= 64, ensembles <= 3 states, --grid-points <= 2000); oracle-check
+# always gets a small --ensemble and --grid-points, since its defaults (100 states,
+# 10,000 points) take a second.  Free text has no decimal digits, so it cannot ask
+# for a large size either, and no NUL, which no OS argv holds.
+_JUNK = st.text(st.characters(exclude_categories=("Cs", "Nd"), exclude_characters="\x00"),
+                max_size=6)
+
+
+def _mostly(valid, other=_JUNK):
+    """Mostly `valid`, sometimes `other`."""
+    return st.integers(0, 9).flatmap(lambda i: valid if i else other)
+
+
+def _float(lo, hi):
+    return _mostly(st.floats(lo, hi).map(repr), st.floats().map(repr) | _JUNK)
+
+
+def _int(lo, hi):
+    return _mostly(st.integers(lo, hi).map(str))
+
+
+_STATE = _mostly(st.sampled_from(["werner", "rho_b", "maximally-mixed", "bell:psi-",
+                                  "bell:phi+", "file:state.json"]),
+                 st.sampled_from(["bell:zeta", "file:junk.json", "file:absent.json",
+                                  "file:."]) | _JUNK)
+_ROT = st.builds("rot:{}:{}".format, _mostly(st.sampled_from(["x", "y", "z"])),
+                 _float(-4.0, 4.0))
+_NOISE = _mostly(st.builds(lambda mean, rots: ",".join([f"poisson:{mean}", *rots]),
+                           _mostly(st.floats(1.0, 1e6).map(repr),
+                                   st.sampled_from(["1e18", "1e20", "0", "nan"]) | _JUNK),
+                           st.lists(_ROT, max_size=2)))
+_ENSEMBLE = _mostly(st.builds("{}:{}".format, st.sampled_from(["random", "zero-discord"]),
+                              st.integers(1, 3)),
+                    st.builds("random:{}:{}".format, st.integers(-1, 3), st.integers(-1, 5))
+                    | _JUNK)
+_SEED = _int(-1, 2**70)
+_OUT = st.sampled_from(["out.txt", "missing/out.txt", "."])
+_COMMON = {"--state": _STATE, "--lambda": _float(0.0, 1.0), "--k": _float(-0.4, 1.0),
+           "--t": _float(-0.5, 0.5), "--noise": _NOISE, "--seed": _SEED, "--out": _OUT,
+           "--format": _mostly(st.sampled_from(["csv", "text"]))}
+_FLAGS = {
+    "characterize": _COMMON,
+    "rsp-sweep": {**_COMMON, "--state2": _STATE, "--targets": _int(1, 64),
+                  "--shots": _mostly(st.integers(1, 2**63 - 1).map(str),
+                                     st.sampled_from(["0", "-1", str(2**63)]) | _JUNK)},
+    "oracle-check": {"--ensemble": _ENSEMBLE, "--grid-points": _int(1, 2000),
+                     "--restarts": _int(-2, 5), "--seed": _SEED, "--out": _OUT},
+}
+_ANY_FLAG = sorted({flag for flags in _FLAGS.values() for flag in flags})
+_YES, _NO = st.just(True), st.just(False)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(_mostly(st.sampled_from(sorted(_FLAGS))))
+    flags = _FLAGS.get(command, {})
+    argv = [command]
+    for flag in draw(st.permutations(sorted(flags))):
+        if (command == "oracle-check" and flag in ("--ensemble", "--grid-points")
+                or draw(_mostly(_YES, _NO))):
+            argv += [flag, draw(flags[flag])]
+    if draw(_mostly(_NO, _YES)):
+        argv += draw(st.sampled_from(_ANY_FLAG).map(lambda f: [f]) | _JUNK.map(lambda t: [t]))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argvs())
+def test_cli_grammar_fuzz_never_raises(argv):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # relative --out and file: paths stay inside tmp
+        try:
+            save_state_file(rho_b(0.2, 0.4), "state.json")
+            with open("junk.json", "w", encoding="utf-8") as fh:
+                fh.write('{"matrix": [[[1, 0]]]}')
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # -h/--help: argparse prints help and exits 0
+                code = exc.code
+        finally:
+            os.chdir(cwd)
+    assert code in (0, 1, 2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qrsp import qstate, states
+from qrsp import discord, qstate, rsp, states
 from qrsp.qstate import (
     BlochRep,
     NotAState,
@@ -292,6 +292,20 @@ def test_local_unitary_covariance():
                                    atol=1e-9)
 
 
+@settings(max_examples=200, deadline=None)
+@given(rho=_drawn_states(), seed=st.integers(0, 2**32 - 1))
+def test_measures_invariant_under_local_unitaries(rho, seed):
+    rng = np.random.default_rng(seed)
+    rotated = apply_local_unitaries(rho, states.haar_unitary(2, rng),
+                                    states.haar_unitary(2, rng))
+    for measure in (lambda s: discord.geometric_discord(s).value, rsp.rsp_fidelity, purity):
+        assert abs(measure(rotated) - measure(rho)) < 1e-9
+    # concurrence takes the eigenvalues of the non-normal rho (Y x Y) rho* (Y x Y).
+    # Near a pure product state (C ~ 1e-6) rounding moves them by ~sqrt(1e-16 C),
+    # so C itself moves by up to ~(1e-16 C)^(1/4), a few 1e-6.
+    assert abs(concurrence(rotated) - concurrence(rho)) < 1e-5
+
+
 def test_unitary_to_rotation_is_proper():
     rng = np.random.default_rng(12)
     for _ in range(50):
@@ -336,3 +350,18 @@ def test_state_is_immutable():
     rho = states.werner(0.5)
     with pytest.raises((ValueError, RuntimeError)):
         rho.matrix[0, 0] = 9.0
+
+
+def test_bloch_triple_is_extracted_lazily_and_once(monkeypatch):
+    built = []
+
+    class CountingBlochRep(BlochRep):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(qstate, "BlochRep", CountingBlochRep)
+    rho = TwoQubitState(states.werner(0.5).matrix)
+    assert built == []
+    assert to_bloch(rho) is to_bloch(rho) is rho.bloch
+    assert len(built) == 1
