@@ -21,6 +21,8 @@ FIDELITY_GAP_TOL = 5e-3
 DOMINANCE_TOL = 1e-6
 ZERO_DISCORD_TOL = 1e-9
 MAX_MEAN_TOTAL = 1e18  # below numpy's largest Poisson mean (~9.2e18); every p <= 1
+MAX_TARGETS = 10**6  # rsp-sweep --targets: each sweep holds a few (n, 3) arrays
+MAX_GRID_POINTS = 10**6  # oracle-check --grid-points: one (n, 3) grid per state
 
 _QUANTITIES = ("fidelity", "purity", "concurrence", "discord", "rsp_fidelity")
 
@@ -76,6 +78,8 @@ def _parse_noise(text: str) -> NoiseSpec:
             spec.rot_angle = float(fields[2])
         except ValueError as exc:
             raise UsageError(f"bad angle in noise component {extra!r}") from exc
+        if not np.isfinite(spec.rot_angle):
+            raise UsageError(f"angle {fields[2]!r} in noise component {extra!r} must be finite")
         spec.rot_axis = fields[1]
     return spec
 
@@ -188,8 +192,8 @@ def cmd_characterize(args) -> int:
 
 def cmd_rsp_sweep(args) -> int:
     started = time.monotonic()
-    if args.targets < 1:
-        raise UsageError("--targets must be >= 1")
+    if not 1 <= args.targets <= MAX_TARGETS:
+        raise UsageError(f"--targets must be in [1, {MAX_TARGETS}]")
     if not 1 <= args.shots < 2**63:  # numpy's binomial takes a C long
         raise UsageError("--shots must be in [1, 2**63)")
     rho1 = _resolve_state(args.state, args)
@@ -286,8 +290,8 @@ def evaluate_oracle_gaps(ensemble, grid_points: int) -> dict:
 def cmd_oracle_check(args) -> int:
     started = time.monotonic()
     kind, n, rank = _parse_ensemble(args.ensemble)
-    if args.grid_points < 1:
-        raise UsageError("--grid-points must be >= 1")
+    if not 1 <= args.grid_points <= MAX_GRID_POINTS:
+        raise UsageError(f"--grid-points must be in [1, {MAX_GRID_POINTS}]")
     if args.restarts is not None:
         print("warning: --restarts is deprecated and ignored; the discord oracle "
               f"searches {discord.ORACLE_AXES} fixed axes", file=sys.stderr)

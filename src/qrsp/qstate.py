@@ -100,13 +100,24 @@ def _check_density(matrix, dim: int, label: str) -> np.ndarray:
     return m
 
 
+def _unit_rows(v, name: str) -> np.ndarray:
+    """v as an (n, 3) float array; ValueError unless each row has norm 1
+    within 1e-9 (a non-finite row never does)."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 3:
+        raise ValueError(f"{name} must have shape (n, 3), got {v.shape}")
+    n = np.sqrt(np.vecdot(v, v))
+    bad = np.flatnonzero(~(np.abs(n - 1.0) <= 1e-9))
+    if bad.size:
+        i = bad[0]
+        where = f" in row {i}" if len(v) > 1 else ""
+        raise ValueError(f"{name} must be a unit vector, |{name}| = {n[i]:.6g}{where}")
+    return v
+
+
 def _unit(v, name: str) -> np.ndarray:
     """v as a float 3-vector; ValueError unless |v| is 1 within 1e-9."""
-    v = np.asarray(v, dtype=float).reshape(3)
-    n = np.linalg.norm(v)
-    if abs(n - 1.0) > 1e-9:
-        raise ValueError(f"{name} must be a unit vector, |{name}| = {n:.6g}")
-    return v
+    return _unit_rows(np.reshape(v, (1, 3)), name)[0]
 
 
 def as_state(rho) -> TwoQubitState:
@@ -384,11 +395,19 @@ def save_state_file(rho, path, form: str = "matrix") -> None:
 
 
 def _atomic_write(path, text: str) -> None:
-    """Write text to path through a temporary file and an atomic rename."""
+    """Write text to path through a temporary file and an atomic rename.
+    The temporary file is removed when either step fails."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:  # leave nothing behind, then report the first error
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def _csv_text(header, rows) -> str:

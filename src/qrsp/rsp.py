@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import _csv_rows, _csv_text, _unit, as_state, to_bloch
+from .qstate import _csv_rows, _csv_text, _unit, _unit_rows, to_bloch
 
 PROB_TOL = 1e-12
 BRANCH_SNAP_TOL = 1e-12  # branch payoff projections closer than this are identical
@@ -37,10 +37,7 @@ class ProtocolConfig:
     def __post_init__(self):
         beta = _unit(self.beta, "beta")
         target = _unit(self.target, "target")
-        if abs(beta @ target) > 1e-9:
-            raise ValueError(
-                f"target must lie in the plane orthogonal to beta "
-                f"(beta.s = {beta @ target:.3e})")
+        _check_in_plane(beta[None], target[None])
         alpha = None if self.alpha is None else _unit(self.alpha, "alpha")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "target", target)
@@ -95,24 +92,43 @@ class SweepResult:
         taken on identical targets."""
         if len(self.records) != len(other.records):
             raise ValueError("sweeps have different lengths")
-        for r1, r2 in zip(self.records, other.records):
-            if np.abs(r1.target - r2.target).max() > 1e-12:
-                raise ValueError("sweeps were taken on different targets")
-        return np.array([r1.payoff_analytic - r2.payoff_analytic
-                         for r1, r2 in zip(self.records, other.records)])
+        if (np.abs(_column(self, "target") - _column(other, "target")) > 1e-12).any():
+            raise ValueError("sweeps were taken on different targets")
+        return _column(self, "payoff_analytic") - _column(other, "payoff_analytic")
+
+
+def _column(result: SweepResult, field: str) -> np.ndarray:
+    """One SweepRecord field over all records, stacked into an array."""
+    return np.array([getattr(r, field) for r in result.records])
 
 
 # ---------------------------------------------------------------------------
 # exact protocol algebra
 # ---------------------------------------------------------------------------
 
-def _branch(rep, alpha_hat, outcome: int) -> tuple:
-    """(P, b_out) for `outcome` along alpha_hat, as in outcome_probability and
-    bob_conditional_state; b_out is None when P <= 1e-12."""
-    prob = 0.5 * (1.0 + outcome * (alpha_hat @ rep.a))
-    if prob <= PROB_TOL:
-        return prob, None
-    return prob, (rep.b + outcome * (rep.E.T @ alpha_hat)) / (2.0 * prob)
+def _check_in_plane(B, S) -> None:
+    """ValueError unless each target S[i] is orthogonal to its axis B[i]
+    within 1e-9."""
+    dots = np.vecdot(B, S)
+    bad = np.flatnonzero(np.abs(dots) > 1e-9)
+    if bad.size:
+        raise ValueError(f"target must lie in the plane orthogonal to beta "
+                         f"(beta.s = {dots[bad[0]]:.3e})")
+
+
+def _branch(rep, A, outcome: int) -> tuple:
+    """(P, b_out) for `outcome` along each row of the (n, 3) axes A, as in
+    outcome_probability and bob_conditional_state; b_out is the zero vector
+    in rows where P <= 1e-12.
+
+    Row products go through np.vecdot and np.matvec, which call the same
+    BLAS dot as a 1-D `@`, so each row is bit-identical to the one-axis
+    formula (A @ E, einsum or a sum of products round differently).
+    """
+    prob = 0.5 * (1.0 + outcome * np.vecdot(A, rep.a))
+    live = prob > PROB_TOL
+    vec = (rep.b + outcome * np.matvec(rep.E.T, A)) / np.where(live, 2.0 * prob, 1.0)[:, None]
+    return prob, np.where(live[:, None], vec, 0.0)
 
 
 def outcome_probability(rho, alpha_hat, outcome: int) -> float:
@@ -120,7 +136,8 @@ def outcome_probability(rho, alpha_hat, outcome: int) -> float:
     alpha_hat = _unit(alpha_hat, "alpha_hat")
     if outcome not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    return float(_branch(to_bloch(rho), alpha_hat, outcome)[0])
+    prob, _ = _branch(to_bloch(rho), alpha_hat[None], outcome)
+    return float(prob[0])
 
 
 def bob_conditional_state(rho, alpha_hat, outcome: int) -> np.ndarray:
@@ -131,16 +148,16 @@ def bob_conditional_state(rho, alpha_hat, outcome: int) -> np.ndarray:
     alpha_hat = _unit(alpha_hat, "alpha_hat")
     if outcome not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    prob, vec = _branch(to_bloch(rho), alpha_hat, outcome)
-    if vec is None:
+    prob, vec = _branch(to_bloch(rho), alpha_hat[None], outcome)
+    if prob[0] <= PROB_TOL:
         raise ZeroProbabilityBranch(
-            f"branch outcome={outcome:+d} has probability {prob:.3e}")
-    return vec
+            f"branch outcome={outcome:+d} has probability {prob[0]:.3e}")
+    return vec[0]
 
 
 def _correct(v: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Pi rotation of v about the unit axis beta."""
-    return 2.0 * (v @ beta) * beta - v
+    """Pi rotation of v about the unit axis beta, row by row for (n, 3)."""
+    return (2.0 * np.vecdot(v, beta))[..., None] * beta - v
 
 
 def apply_correction(v, beta) -> np.ndarray:
@@ -160,12 +177,12 @@ def ensemble_state(rho, alpha_hat, beta) -> np.ndarray:
     rep = to_bloch(rho)
     r = np.zeros(3)
     for outcome in (1, -1):
-        prob, vec = _branch(rep, alpha_hat, outcome)
-        if vec is None:
+        prob, vec = _branch(rep, alpha_hat[None], outcome)
+        if prob[0] <= PROB_TOL:
             continue
         if outcome == -1:
             vec = _correct(vec, beta)
-        r = r + prob * vec
+        r = r + prob[0] * vec[0]
     return r
 
 
@@ -189,11 +206,21 @@ def optimal_alpha(rho, s) -> np.ndarray:
 
     For |E s| <= 1e-12 every axis scores 0; the convention is +x.
     """
-    es = to_bloch(rho).E @ _unit(s, "s")
-    n = np.linalg.norm(es)
-    if n <= 1e-12:
-        return np.array([1.0, 0.0, 0.0])
-    return es / n
+    return _optimal_alphas(to_bloch(rho).E, _unit(s, "s")[None])[0]
+
+
+def _optimal_alphas(E, S) -> np.ndarray:
+    """optimal_alpha for each row of the (n, 3) targets S."""
+    es = np.matvec(E, S)
+    n = np.sqrt(np.vecdot(es, es))  # np.linalg.norm of each row, bit for bit
+    return _divide_or_x(es, n, n <= 1e-12)
+
+
+def _divide_or_x(V, n, degenerate) -> np.ndarray:
+    """Rows of V divided by n, with +x in the degenerate rows."""
+    out = V / np.where(degenerate, 1.0, n)[:, None]
+    out[degenerate] = (1.0, 0.0, 0.0)
+    return out
 
 
 def average_payoff(rho, beta) -> float:
@@ -263,36 +290,40 @@ def simulate(rho, config: ProtocolConfig, shots: int, seed) -> SweepRecord:
     that the error bar models.  Branch projections within 1e-12 count as
     identical: below that the binomial signal is lost to rounding.
     """
+    rep = to_bloch(rho)
+    S, B = config.target[None], config.beta[None]
+    A = _optimal_alphas(rep.E, S) if config.alpha is None else config.alpha[None]
+    return _simulate_rows(rep, S, B, A, shots, [seed])[0]
+
+
+def _simulate_rows(rep, S, B, A, shots: int, seeds) -> list:
+    """simulate for each row i of the (n, 3) targets S, Bob axes B and Alice
+    axes A, with the generator default_rng(seeds[i]): one SweepRecord a row.
+
+    Only the binomial draws run row by row.  Squares use np.float_power,
+    which is C pow like a Python float's ** 2 (x * x rounds differently),
+    and f = n_+/shots stays an exact Python int division.
+    """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    rho = as_state(rho)  # optimal_alpha below reuses its Bloch triple
-    rep = to_bloch(rho)
-    s = config.target
-    beta = config.beta
-    alpha_hat = config.alpha
-    if alpha_hat is None:
-        alpha_hat = optimal_alpha(rho, s)
-
-    p_plus, b_plus = _branch(rep, alpha_hat, 1)
-    _, b_minus = _branch(rep, alpha_hat, -1)
-    never = np.zeros(3)  # stands in for a branch that is never sampled
-    b_plus = never if b_plus is None else b_plus
-    b_minus = never if b_minus is None else _correct(b_minus, beta)
-
-    rng = np.random.default_rng(seed)
-    p_plus = float(np.clip(p_plus, 0.0, 1.0))
-    n_plus = int(rng.binomial(shots, p_plus))
-    f = n_plus / shots
-    base = float(b_minus @ s)
-    step = float((b_plus - b_minus) @ s)
-    if abs(step) <= BRANCH_SNAP_TOL:
-        step = 0.0
+    p_plus, b_plus = _branch(rep, A, 1)
+    p_minus, b_minus = _branch(rep, A, -1)
+    # a branch that is never sampled stands as the zero vector
+    b_minus = np.where((p_minus > PROB_TOL)[:, None], _correct(b_minus, B), 0.0)
+    p_plus = np.clip(p_plus, 0.0, 1.0)
+    f = np.array([int(np.random.default_rng(seed).binomial(shots, p)) / shots
+                  for seed, p in zip(seeds, p_plus.tolist())])
+    base = np.vecdot(b_minus, S)
+    step = np.vecdot(b_plus - b_minus, S)
+    step = np.where(np.abs(step) <= BRANCH_SNAP_TOL, 0.0, step)
     g = base + f * step
-    stderr = abs(2.0 * g * step) * np.sqrt(f * (1.0 - f) / shots)
-    return SweepRecord(target=s, beta=beta,
-                       payoff_analytic=float((base + p_plus * step) ** 2),
-                       payoff_mc=float(g ** 2), stderr=float(stderr),
-                       shots=shots)
+    stderr = np.abs(2.0 * g * step) * np.sqrt(f * (1.0 - f) / shots)
+    analytic = np.float_power(base + p_plus * step, 2)
+    mc = np.float_power(g, 2)
+    return [SweepRecord(target=s, beta=b, payoff_analytic=pa, payoff_mc=pm,
+                        stderr=se, shots=shots)
+            for s, b, pa, pm, se in zip(S, B, analytic.tolist(), mc.tolist(),
+                                        stderr.tolist())]
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -310,24 +341,26 @@ def fibonacci_sphere(n: int) -> np.ndarray:
 def beta_for_target(s) -> np.ndarray:
     """Sweep beta policy: normalize(z x s), falling back to +x when s is
     within 1e-9 of the +-z pole."""
-    s = np.asarray(s, dtype=float).reshape(3)
-    cross = np.array([-s[1], s[0], 0.0])  # z x s
-    n = np.linalg.norm(cross)
-    if n < 1e-9:
-        return np.array([1.0, 0.0, 0.0])
-    return cross / n
+    return _betas(np.asarray(s, dtype=float).reshape(1, 3))[0]
+
+
+def _betas(S) -> np.ndarray:
+    """beta_for_target for each row of the (n, 3) targets S."""
+    cross = np.stack([-S[:, 1], S[:, 0], np.zeros(len(S))], axis=1)  # z x s
+    n = np.sqrt(np.vecdot(cross, cross))
+    return _divide_or_x(cross, n, n < 1e-9)
 
 
 def sweep(rho, targets, shots: int, seed) -> SweepResult:
     """Run the protocol over a batch of targets with optimal alpha.
 
     Target i uses the seed stream (seed, i), so records are independent
-    of evaluation order.
+    of evaluation order.  The whole batch is computed at once, and each
+    record is bit-identical to simulate on that target alone.
     """
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    records = []
-    for i, s in enumerate(targets):
-        config = ProtocolConfig(beta=beta_for_target(s), target=s)
-        records.append(simulate(rho, config, shots,
-                                np.random.SeedSequence([int(seed), i])))
-    return SweepResult(tuple(records))
+    S = _unit_rows(np.atleast_2d(targets), "target")
+    B = _betas(S)
+    _check_in_plane(B, S)
+    rep = to_bloch(rho)
+    seeds = (np.random.SeedSequence([int(seed), i]) for i in range(len(S)))
+    return SweepResult(_simulate_rows(rep, S, B, _optimal_alphas(rep.E, S), shots, seeds))

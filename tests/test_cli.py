@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrsp import qstate
-from qrsp.cli import evaluate_oracle_gaps, main, quantities_of
+from qrsp.cli import MAX_GRID_POINTS, MAX_TARGETS, evaluate_oracle_gaps, main, quantities_of
 from qrsp.qstate import StateError, load_state_file, save_state_file, state_fidelity
 from qrsp.states import rho_b, werner
 from qrsp.rsp import ProtocolConfig, SweepResult, run_round
@@ -129,10 +129,35 @@ def test_characterize_noise_with_rotation(capsys):
     ["characterize", "--state", "werner", "--lambda", "0.5", "--noise", "poisson:1e20"],
     ["rsp-sweep", "--state", "werner", "--lambda", "0.5", "--state2", "maximally-mixed",
      "--shots", str(2**63)],
+    ["characterize", "--state", "werner", "--lambda", "0.5",
+     "--noise", "poisson:1e4,rot:z:inf"],
+    ["characterize", "--state", "werner", "--lambda", "0.5",
+     "--noise", "poisson:1e4,rot:z:nan"],
+    ["rsp-sweep", "--state", "werner", "--lambda", "0.5", "--state2", "maximally-mixed",
+     "--targets", str(MAX_TARGETS + 1)],
+    ["oracle-check", "--ensemble", "random:1", "--grid-points", str(MAX_GRID_POINTS + 1)],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     assert main(argv) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("angle", ["inf", "-inf", "nan"])
+def test_non_finite_rot_angle_names_the_angle(angle, capsys):
+    argv = ["characterize", "--state", "werner", "--lambda", "0.5",
+            "--noise", f"poisson:1e4,rot:y:{angle}"]
+    assert main(argv) == 1
+    assert f"angle '{angle}'" in capsys.readouterr().err
+
+
+def test_failed_out_write_leaves_no_temporary_file(tmp_path, capsys):
+    existing = tmp_path / "existing-directory"
+    existing.mkdir()
+    argv = ["characterize", "--state", "werner", "--lambda", "0.5", "--out", str(existing)]
+    assert main(argv) == 2
+    assert "error" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [existing]
 
 
 @pytest.mark.parametrize("content,field", [

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrsp import discord, qstate, rsp, states
@@ -29,6 +29,7 @@ from qrsp.qstate import (
     unitary_to_rotation,
     von_neumann_entropy,
 )
+from conftest import drawn_states
 
 # frozen reference values
 ENTROPY_WERNER_THIRD = 1.792481250360578  # 1/2 + (1/2) log2(6), spectrum {1/2, 1/6 x3}
@@ -99,21 +100,8 @@ def _to_bloch_reference(m: np.ndarray) -> tuple:
     return a, b, E
 
 
-@st.composite
-def _drawn_states(draw):
-    """rho = G G^+ / Tr(G G^+) for a drawn complex 4 x r matrix G, r in 1..4."""
-    rank = draw(st.integers(1, 4))
-    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=8 * rank, max_size=8 * rank))
-    g = np.array(parts).reshape(2, 4, rank)
-    g = g[0] + 1j * g[1]
-    m = g @ g.conj().T
-    tr = np.trace(m).real
-    assume(tr > 1e-3)
-    return TwoQubitState(m / tr)
-
-
 @settings(max_examples=300, deadline=None)
-@given(rho=_drawn_states())
+@given(rho=drawn_states())
 def test_to_bloch_bit_identical_to_per_operator_traces(rho):
     rep = to_bloch(rho)
     a, b, E = _to_bloch_reference(rho.matrix)
@@ -123,7 +111,7 @@ def test_to_bloch_bit_identical_to_per_operator_traces(rho):
 
 
 @settings(max_examples=200, deadline=None)
-@given(rho=_drawn_states())
+@given(rho=drawn_states())
 def test_from_bloch_inverts_to_bloch(rho):
     np.testing.assert_allclose(from_bloch(to_bloch(rho)).matrix, rho.matrix,
                                rtol=0.0, atol=1e-12)
@@ -293,7 +281,7 @@ def test_local_unitary_covariance():
 
 
 @settings(max_examples=200, deadline=None)
-@given(rho=_drawn_states(), seed=st.integers(0, 2**32 - 1))
+@given(rho=drawn_states(), seed=st.integers(0, 2**32 - 1))
 def test_measures_invariant_under_local_unitaries(rho, seed):
     rng = np.random.default_rng(seed)
     rotated = apply_local_unitaries(rho, states.haar_unitary(2, rng),

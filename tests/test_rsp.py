@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qrsp.qstate import BlochRep, from_bloch, to_bloch
@@ -36,7 +36,7 @@ from qrsp.rsp import (
     sweep,
     worst_beta,
 )
-from conftest import perp_pair, unit_vector
+from conftest import drawn_states, perp_pair, unit_vector
 
 EZ = np.array([0.0, 0.0, 1.0])
 EX = np.array([1.0, 0.0, 0.0])
@@ -288,6 +288,86 @@ def test_sweep_deterministic():
     a = sweep(rho_b(0.2, 0.4), targets, shots=500, seed=9)
     b = sweep(rho_b(0.2, 0.4), targets, shots=500, seed=9)
     assert a.to_csv() == b.to_csv()
+
+
+def _reference_sweep(rho, targets, shots, seed) -> SweepResult:
+    """sweep by its per-target definition: 1-D `@`, np.linalg.norm, Python
+    floats and one default_rng(SeedSequence([seed, i])) draw per target."""
+    rep = to_bloch(rho)
+    records = []
+    for i, s in enumerate(targets):
+        cross = np.array([-s[1], s[0], 0.0])
+        n = np.linalg.norm(cross)
+        beta = EX.copy() if n < 1e-9 else cross / n
+        es = rep.E @ s
+        n = np.linalg.norm(es)
+        alpha = EX if n <= 1e-12 else es / n
+        branches = []
+        for outcome in (1, -1):
+            p = 0.5 * (1.0 + outcome * (alpha @ rep.a))
+            vec = np.zeros(3)
+            if p > 1e-12:
+                vec = (rep.b + outcome * (rep.E.T @ alpha)) / (2.0 * p)
+                if outcome == -1:
+                    vec = 2.0 * (vec @ beta) * beta - vec
+            branches.append((p, vec))
+        (p_plus, b_plus), (_, b_minus) = branches
+        p_plus = float(np.clip(p_plus, 0.0, 1.0))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        f = int(rng.binomial(shots, p_plus)) / shots
+        base = float(b_minus @ s)
+        step = float((b_plus - b_minus) @ s)
+        if abs(step) <= 1e-12:
+            step = 0.0
+        g = base + f * step
+        stderr = abs(2.0 * g * step) * np.sqrt(f * (1.0 - f) / shots)
+        records.append(SweepRecord(target=s, beta=beta,
+                                   payoff_analytic=float((base + p_plus * step) ** 2),
+                                   payoff_mc=float(g ** 2), stderr=float(stderr),
+                                   shots=shots))
+    return SweepResult(records)
+
+
+@st.composite
+def _pure_products(draw):
+    """|u><u| x |v><v| from two drawn Bloch directions: a branch along the
+    optimal axis has probability 0, or within rounding of it."""
+    u, v = (np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+            for _ in range(2))
+    norms = np.linalg.norm(u), np.linalg.norm(v)
+    assume(min(norms) > 1e-3)
+    u, v = u / norms[0], v / norms[1]
+    return from_bloch(BlochRep(a=u, b=v, E=np.outer(u, v)))
+
+
+_AXES = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(rho=st.one_of(drawn_states(), _pure_products(),
+                     st.builds(random_state, st.integers(0, 2**32 - 1),
+                               rank=st.integers(1, 4))),
+       n=st.integers(1, 64),
+       shots=st.integers(1, 10**6), seed=st.integers(0, 2**32 - 1))
+def test_sweep_bit_identical_to_per_target_reference(rho, n, shots, seed):
+    targets = np.vstack([fibonacci_sphere(n), _AXES])
+    batched = sweep(rho, targets, shots, seed)
+    reference = _reference_sweep(rho, targets, shots, seed)
+    assert batched.to_csv() == reference.to_csv()
+    assert np.array_equal([r.beta for r in batched.records],
+                          [r.beta for r in reference.records])
+
+
+def test_sweep_rejects_bad_targets():
+    state = rho_b(0.2, 0.4)
+    targets = fibonacci_sphere(5)
+    targets[3] *= 1.0 + 1e-6
+    with pytest.raises(ValueError, match="unit vector"):
+        sweep(state, targets, shots=10, seed=0)
+    with pytest.raises(ValueError, match="unit vector"):
+        sweep(state, [[np.nan, 0.0, 0.0]], shots=10, seed=0)
+    with pytest.raises(ValueError, match="shape"):
+        sweep(state, np.ones((4, 2)) / np.sqrt(2.0), shots=10, seed=0)
 
 
 def test_sweep_csv_round_trip():
