@@ -8,6 +8,7 @@ measurement axis the payoff is |E s|^2, its worst-case average over
 targets in the plane is the protocol fidelity (E2^2 + E3^2)/2.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,7 +255,7 @@ def rsp_fidelity_oracle(rho, grid_points: int = 10000) -> float:
     above as the grid is refined.
     """
     rep = to_bloch(rho)
-    ge = fibonacci_sphere(grid_points) @ rep.E.T
+    ge = _fibonacci_grid(grid_points) @ rep.E.T
     norms = np.einsum("nk,nk->n", ge, ge)
     total = np.einsum("kl,kl->", rep.E, rep.E)
     return float(0.5 * (total - norms.max()))
@@ -336,6 +337,14 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     phi = np.pi * (3.0 - np.sqrt(5.0)) * i
     pts = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
     return pts / np.linalg.norm(pts, axis=1)[:, None]
+
+
+@functools.lru_cache(maxsize=4)  # a grid of 10**6 points holds 24 MB
+def _fibonacci_grid(n: int) -> np.ndarray:
+    """fibonacci_sphere(n), built once per size and read-only, for the oracles."""
+    grid = fibonacci_sphere(n)
+    grid.flags.writeable = False
+    return grid
 
 
 def beta_for_target(s) -> np.ndarray:

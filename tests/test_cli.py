@@ -12,10 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrsp import qstate
-from qrsp.cli import MAX_GRID_POINTS, MAX_TARGETS, evaluate_oracle_gaps, main, quantities_of
+from qrsp import cli, qstate
+from qrsp.cli import (
+    MAX_ENSEMBLE,
+    MAX_GRID_POINTS,
+    MAX_TARGETS,
+    build_parser,
+    evaluate_oracle_gaps,
+    main,
+    quantities_of,
+)
 from qrsp.qstate import StateError, load_state_file, save_state_file, state_fidelity
-from qrsp.states import rho_b, werner
+from qrsp.states import random_state, rho_b, werner
 from qrsp.rsp import ProtocolConfig, SweepResult, run_round
 
 
@@ -136,6 +144,8 @@ def test_characterize_noise_with_rotation(capsys):
     ["rsp-sweep", "--state", "werner", "--lambda", "0.5", "--state2", "maximally-mixed",
      "--targets", str(MAX_TARGETS + 1)],
     ["oracle-check", "--ensemble", "random:1", "--grid-points", str(MAX_GRID_POINTS + 1)],
+    ["oracle-check", "--ensemble", f"random:{MAX_ENSEMBLE + 1}"],
+    ["oracle-check", "--ensemble", "random:1", "--restarts", "5"],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     assert main(argv) == 1
@@ -282,16 +292,6 @@ def test_oracle_check_passes(tmp_path, capsys):
     assert "restarts" not in manifest["parameters"]
 
 
-def test_oracle_check_restarts_is_deprecated(tmp_path, capsys):
-    report = tmp_path / "oracle.txt"
-    assert main(["oracle-check", "--ensemble", "random:2", "--restarts", "50",
-                 "--out", str(report)]) == 0
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "--restarts is deprecated and ignored" in err
-    manifest = json.loads((tmp_path / "oracle.txt.manifest.json").read_text())
-    assert manifest["parameters"]["restarts"] == 50
-
-
 @pytest.mark.parametrize("argv", [
     ["--seed", "2"],
     ["--ensemble", "zero-discord:1", "--seed", "1527482097"],
@@ -319,6 +319,26 @@ def test_oracle_check_bad_ensemble(capsys):
 def test_evaluate_oracle_gaps_refuses_empty_ensemble():
     with pytest.raises(ValueError, match="at least one state"):
         evaluate_oracle_gaps(iter(()), grid_points=100)
+
+
+def test_evaluate_oracle_gaps_does_not_depend_on_chunking(monkeypatch):
+    ensemble = [random_state(seed, rank=1 + seed % 4) for seed in range(7)]
+    whole = evaluate_oracle_gaps(ensemble, grid_points=500)
+    monkeypatch.setattr(cli, "_ORACLE_CHUNK", 3)
+    assert evaluate_oracle_gaps(iter(ensemble), grid_points=500) == whole
+    assert whole["states"] == 7
+
+
+def test_cached_parser_keeps_no_flags_between_calls(capsys):
+    argv = ["characterize", "--state", "werner", "--lambda", "0.5", "--format", "csv"]
+    build_parser.cache_clear()
+    assert main(argv) == 0
+    fresh = capsys.readouterr().out
+    assert main([*argv, "--noise", "poisson:1e4", "--seed", "3"]) == 0
+    assert capsys.readouterr().out != fresh
+    assert main(argv) == 0
+    assert capsys.readouterr().out == fresh
+    assert build_parser() is build_parser()
 
 
 def test_characterize_out_manifest(tmp_path, capsys):
@@ -400,10 +420,10 @@ _GOLDEN = {
         "32ad1eb75aee6e9def91d7591a7d0e9ceec971891018e7bfb1c66a4d1cd264e6"),
     "oracle-check-random": (
         ["oracle-check", "--ensemble", "random:50", "--seed", "3"],
-        "efd1cffae9356e7b2a6ccae15468af6e9fc6aadaa73d2aa856c6d6660d74ab4c", _EMPTY),
+        "04453ac9ecd3e021503515520832ad255fa75dd1d293eea7647a7a4201b73f37", _EMPTY),
     "oracle-check-zero-discord": (
         ["oracle-check", "--ensemble", "zero-discord:20", "--seed", "3"],
-        "b28089c6bb4d86527d0f5dee5b6f6c56bb2d5422fc08b72d92e4eba01ebf3746", _EMPTY),
+        "00b511a159360b3e5765031dd5cfea9a2e23dc8f2010384b4bea4e806ccd13f6", _EMPTY),
 }
 
 
@@ -465,7 +485,7 @@ _FLAGS = {
                   "--shots": _mostly(st.integers(1, 2**63 - 1).map(str),
                                      st.sampled_from(["0", "-1", str(2**63)]) | _JUNK)},
     "oracle-check": {"--ensemble": _ENSEMBLE, "--grid-points": _int(1, 2000),
-                     "--restarts": _int(-2, 5), "--seed": _SEED, "--out": _OUT},
+                     "--seed": _SEED, "--out": _OUT},
 }
 _ANY_FLAG = sorted({flag for flags in _FLAGS.values() for flag in flags})
 _YES, _NO = st.just(True), st.just(False)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrsp.qstate import PAULIS, BlochRep, TwoQubitState, from_bloch, to_bloch
+from qrsp.qstate import _A_OPS, PAULIS, BlochRep, TwoQubitState, from_bloch, to_bloch
 from qrsp.states import (
     bell,
     maximally_mixed,
@@ -20,13 +20,16 @@ from qrsp.states import (
 )
 from qrsp.discord import (
     NotInSpecialClass,
-    _dephased_distance,
+    _objective,
+    _oracle_rows,
+    _quadratic_form,
     check_special_class,
     discord_special_form,
     geometric_discord,
     geometric_discord_oracle,
     is_zero_discord,
 )
+from conftest import drawn_states
 
 
 def _parallel_case_state():
@@ -141,6 +144,14 @@ def _dephase(rho, v):
     return zero_discord(p, v, branches[0] / p, branches[1] / (1.0 - p)).matrix
 
 
+def _dephased_distance(m, v):
+    # reference for the oracle's objective: 2 Tr(rho - chi)^2 with
+    # chi = (rho + N rho N)/2, N = v.sigma x 1, for each unit axis row of v
+    n = np.einsum("bk,kij->bij", v, _A_OPS)
+    d = m - 0.5 * (m + n @ m @ n)
+    return 2.0 * np.einsum("bij,bij->b", d, d.conj()).real
+
+
 def test_oracle_objective_matches_dephased_state():
     rng = np.random.default_rng(9)
     for seed in range(10):
@@ -151,6 +162,26 @@ def test_oracle_objective_matches_dephased_state():
         for vi, fi in zip(v, found):
             diff = rho.matrix - _dephase(rho, vi)
             assert abs(fi - 2.0 * np.trace(diff @ diff).real) < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(state=drawn_states(), axes=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=30))
+def test_quadratic_form_matches_dephased_distance(state, axes):
+    v = np.array(axes[:len(axes) // 3 * 3]).reshape(-1, 3)
+    norms = np.linalg.norm(v, axis=1)
+    v = v[norms > 1e-3] / norms[norms > 1e-3, None]
+    purity, M = _quadratic_form(state.matrix[None])
+    found = _objective(purity, M, v)
+    assert np.abs(found - _dephased_distance(state.matrix, v)).max(initial=0.0) <= 1e-15
+
+
+def test_oracle_rows_do_not_depend_on_the_batch():
+    batch = [random_state(seed, rank=1 + seed % 4) for seed in range(30)]
+    batch += [random_zero_discord(seed) for seed in range(30)]
+    order = np.random.default_rng(2).permutation(len(batch))
+    found = _oracle_rows(np.stack([batch[i].matrix for i in order]))
+    for i, value in zip(order, found):
+        assert np.array_equal(geometric_discord_oracle(batch[i]), value)
 
 
 def test_oracle_reference_states():

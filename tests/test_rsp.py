@@ -19,6 +19,7 @@ from qrsp.rsp import (
     SweepRecord,
     SweepResult,
     ZeroProbabilityBranch,
+    _fibonacci_grid,
     apply_correction,
     average_payoff,
     beta_for_target,
@@ -430,6 +431,20 @@ def test_fibonacci_sphere_coverage():
     assert pts[:, 2].max() > 0.9 and pts[:, 2].min() < -0.9
     with pytest.raises(ValueError):
         fibonacci_sphere(0)
+
+
+def test_oracles_share_one_read_only_grid():
+    _fibonacci_grid.cache_clear()
+    rsp_fidelity_oracle(werner(0.5), grid_points=333)
+    rsp_fidelity_oracle(rho_b(0.2, 0.4), grid_points=333)
+    info = _fibonacci_grid.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    grid = _fibonacci_grid(333)
+    with pytest.raises(ValueError, match="read-only"):
+        grid[0, 0] = 0.0
+    public = fibonacci_sphere(333)
+    assert np.array_equal(public, grid) and public.flags.writeable
+    assert fibonacci_sphere(333) is not public
 
 
 def test_beta_for_target_policy():
