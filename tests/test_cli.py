@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrsp import cli, qstate
+from qrsp import __version__, cli, qstate
 from qrsp.cli import (
     MAX_ENSEMBLE,
     MAX_GRID_POINTS,
@@ -357,6 +357,42 @@ def test_characterize_out_manifest(tmp_path, capsys):
     assert out.read_bytes() == first
 
 
+_MANIFESTS = {
+    "characterize": (
+        ["characterize", "--state", "werner", "--lambda", "0.5",
+         "--noise", "poisson:1e4,rot:x:0.2", "--seed", "4"],
+        {"command": "characterize", "format": "text", "lam": 0.5,
+         "noise": "poisson:1e4,rot:x:0.2", "seed": 4, "state": "werner"}, ""),
+    "rsp-sweep": (
+        ["rsp-sweep", "--state", "bell:psi-", "--state2", "maximally-mixed",
+         "--targets", "6", "--shots", "100", "--format", "csv"],
+        {"command": "rsp-sweep", "format": "csv", "seed": 0, "shots": 100,
+         "state": "bell:psi-", "state2": "maximally-mixed", "targets": 6}, ""),
+    "oracle-check": (
+        ["oracle-check", "--ensemble", "zero-discord:2", "--grid-points", "500",
+         "--seed", "1"],
+        {"command": "oracle-check", "ensemble": "zero-discord:2", "grid_points": 500,
+         "seed": 1}, "PASS\n"),
+}
+
+
+@pytest.mark.parametrize("command", _MANIFESTS)
+def test_manifest_schema(command, tmp_path, capsys):
+    argv, params, stdout = _MANIFESTS[command]
+    out = tmp_path / "result.out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == stdout
+    manifest = json.loads((tmp_path / "result.out.manifest.json").read_text())
+    assert set(manifest) == {"artifact_version", "command", "duration_seconds",
+                             "outputs", "parameters", "seed"}
+    assert manifest["command"] == command
+    assert manifest["parameters"] == {**params, "out": str(out)}
+    assert manifest["seed"] == params["seed"]
+    assert manifest["outputs"] == [str(out)]
+    assert manifest["artifact_version"] == __version__
+    assert manifest["duration_seconds"] >= 0
+
+
 def test_quantities_of_against_modules():
     state = werner(0.6)
     rows = quantities_of(state)
@@ -424,6 +460,21 @@ _GOLDEN = {
     "oracle-check-zero-discord": (
         ["oracle-check", "--ensemble", "zero-discord:20", "--seed", "3"],
         "00b511a159360b3e5765031dd5cfea9a2e23dc8f2010384b4bea4e806ccd13f6", _EMPTY),
+    "characterize-text": (
+        ["characterize", *_RHO_B],
+        "774097b607a397a4ae5e351be7e26c7e98accde4bf54df86fd17e3ddbf63899d", _EMPTY),
+    "rsp-sweep-text": (
+        ["rsp-sweep", *_RHO_B, "--state2", "werner", "--lambda", _W3, "--seed", "1"],
+        "03af9ec54d1465eb0b9b640ed3306b16de14724dd98a8c170fabebe26dad7e9f",
+        "fdd4bd9a40e1b9c458c4873bf7397caef71b7a0b496589a8a9c06cc64a8b0525"),
+    "characterize-noise-rot-x": (
+        ["characterize", *_RHO_B, "--format", "csv", "--noise", "poisson:1e4,rot:x:0.2",
+         "--seed", "7"],
+        "d9953a3bb75b98f747151c7fc9f69c9d7136823fd232eb81377bb987292d44bc", _EMPTY),
+    "characterize-noise-rot-y": (
+        ["characterize", *_RHO_B, "--format", "csv", "--noise", "poisson:1e4,rot:y:-0.3",
+         "--seed", "7"],
+        "3a38ea9dc0f7a00b7c7fc2f3bee63e891e706719681ddcf1f25e35d47b9e297e", _EMPTY),
 }
 
 
