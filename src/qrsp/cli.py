@@ -28,8 +28,6 @@ MAX_GRID_POINTS = 10**6  # oracle-check --grid-points: one cached (n, 3) grid
 MAX_ENSEMBLE = 10**6  # oracle-check --ensemble size
 _ORACLE_CHUNK = 1024  # states per lockstep oracle call, so memory does not grow with n
 
-_QUANTITIES = ("fidelity", "purity", "concurrence", "discord", "rsp_fidelity")
-
 _BELL_ALIASES = {"psi+": "psi_plus", "psi-": "psi_minus",
                  "phi+": "phi_plus", "phi-": "phi_minus"}
 
@@ -53,14 +51,8 @@ class RunManifest:
     duration_seconds: float
 
 
-@dataclass
-class NoiseSpec:
-    mean_total: float
-    rot_axis: str | None = None
-    rot_angle: float = 0.0
-
-
-def _parse_noise(text: str) -> NoiseSpec:
+def _parse_noise(text: str) -> tuple:
+    """(mean_total, rotation axis or None, rotation angle) of a --noise spec."""
     parts = text.split(",")
     head = parts[0].split(":")
     if len(head) != 2 or head[0] != "poisson":
@@ -73,19 +65,19 @@ def _parse_noise(text: str) -> NoiseSpec:
         raise UsageError(f"mean_total must be in (0, {MAX_MEAN_TOTAL:.0e}] in noise spec {text!r}")
     if len(parts) > 2:
         raise UsageError(f"noise spec {text!r} has more than one rot: component")
-    spec = NoiseSpec(mean_total=mean_total)
+    axis, angle = None, 0.0
     for extra in parts[1:]:
         fields = extra.split(":")
         if len(fields) != 3 or fields[0] != "rot" or fields[1] not in ("x", "y", "z"):
             raise UsageError(f"bad noise component {extra!r}; expected rot:<x|y|z>:<angle>")
         try:
-            spec.rot_angle = float(fields[2])
+            angle = float(fields[2])
         except ValueError as exc:
             raise UsageError(f"bad angle in noise component {extra!r}") from exc
-        if not np.isfinite(spec.rot_angle):
+        if not np.isfinite(angle):
             raise UsageError(f"angle {fields[2]!r} in noise component {extra!r} must be finite")
-        spec.rot_axis = fields[1]
-    return spec
+        axis = fields[1]
+    return mean_total, axis, angle
 
 
 def _resolve_state(spec: str, args) -> qstate.TwoQubitState:
@@ -118,40 +110,28 @@ def _subseed(seed: int, tag: int) -> int:
     return int(np.random.SeedSequence([int(seed), int(tag)]).generate_state(1, np.uint64)[0])
 
 
-_AXES = {"x": np.array([1.0, 0.0, 0.0]),
-         "y": np.array([0.0, 1.0, 0.0]),
-         "z": np.array([0.0, 0.0, 1.0])}
-
-
-def _apply_noise(rho, noise: NoiseSpec, seed: int) -> qstate.TwoQubitState:
+def _apply_noise(rho, noise: str, seed: int) -> qstate.TwoQubitState:
     """Optional local rotation on Bob, then a full Poisson tomography run
-    and linear-inversion reconstruction."""
-    if noise.rot_axis is not None:
-        rho = tomo.perturb_local_rotation(rho, _AXES[noise.rot_axis], noise.rot_angle)
-    records = tomo.sample_tomography(rho, noise.mean_total, seed)
+    and linear-inversion reconstruction, as the --noise spec asks."""
+    mean_total, axis, angle = _parse_noise(noise)
+    if axis is not None:
+        rho = tomo.perturb_local_rotation(rho, np.eye(3)["xyz".index(axis)], angle)
+    records = tomo.sample_tomography(rho, mean_total, seed)
     return tomo.linear_inversion(records)
 
 
-def _write_manifest(out_path: str, command: str, params: dict, seed: int,
-                    started: float) -> None:
-    manifest = RunManifest(command=command, parameters=params, seed=int(seed),
-                           artifact_version=__version__, outputs=[out_path],
-                           duration_seconds=time.monotonic() - started)
-    qstate._atomic_write(f"{out_path}.manifest.json",
-                         json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
-
-
-def _emit(text: str, args, command: str, params: dict, started: float) -> None:
-    if args.out:
-        qstate._atomic_write(args.out, text)
-        _write_manifest(args.out, command, params, args.seed, started)
-    else:
+def _emit(text: str, args, started: float) -> None:
+    """Write text to stdout, or atomically to --out with its manifest."""
+    if not args.out:
         sys.stdout.write(text)
-
-
-def _clean_params(args) -> dict:
-    params = {k: v for k, v in vars(args).items() if k != "func"}
-    return {k: v for k, v in params.items() if v is not None}
+        return
+    qstate._atomic_write(args.out, text)
+    params = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
+    manifest = RunManifest(command=args.command, parameters=params, seed=int(args.seed),
+                           artifact_version=__version__, outputs=[args.out],
+                           duration_seconds=time.monotonic() - started)
+    qstate._atomic_write(f"{args.out}.manifest.json",
+                         json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +155,16 @@ def cmd_characterize(args) -> int:
     started = time.monotonic()
     ideal = _resolve_state(args.state, args)
     if args.noise:
-        noise = _parse_noise(args.noise)
-        measured = _apply_noise(ideal, noise, args.seed)
-        rows = quantities_of(measured, ideal=ideal)
+        rows = quantities_of(_apply_noise(ideal, args.noise, args.seed), ideal=ideal)
     else:
         rows = quantities_of(ideal)
     if args.format == "csv":
         text = qstate._csv_text(["quantity", "value"],
-                                ([name, repr(float(rows[name]))] for name in _QUANTITIES))
+                                ([name, repr(float(v))] for name, v in rows.items()))
     else:
-        width = max(len(q) for q in _QUANTITIES)
-        text = "".join(f"{name:<{width}}  {rows[name]:.10g}\n" for name in _QUANTITIES)
-    _emit(text, args, "characterize", _clean_params(args), started)
+        width = max(len(name) for name in rows)
+        text = "".join(f"{name:<{width}}  {v:.10g}\n" for name, v in rows.items())
+    _emit(text, args, started)
     return 0
 
 
@@ -203,9 +181,8 @@ def cmd_rsp_sweep(args) -> int:
     rho1 = _resolve_state(args.state, args)
     rho2 = _resolve_state(args.state2, args)
     if args.noise:
-        noise = _parse_noise(args.noise)
-        rho1 = _apply_noise(rho1, noise, _subseed(args.seed, 11))
-        rho2 = _apply_noise(rho2, noise, _subseed(args.seed, 12))
+        rho1 = _apply_noise(rho1, args.noise, _subseed(args.seed, 11))
+        rho2 = _apply_noise(rho2, args.noise, _subseed(args.seed, 12))
     targets = rsp.fibonacci_sphere(args.targets)
     res1 = rsp.sweep(rho1, targets, args.shots, _subseed(args.seed, 21))
     res2 = rsp.sweep(rho2, targets, args.shots, _subseed(args.seed, 22))
@@ -224,7 +201,7 @@ def cmd_rsp_sweep(args) -> int:
         lines = ["  ".join(header)] + [f"{i}  " + "  ".join(f"{v:.10g}" for v in vals)
                                        for i, vals in enumerate(values)]
         text = "\n".join(lines) + "\n"
-    _emit(text, args, "rsp-sweep", _clean_params(args), started)
+    _emit(text, args, started)
     print(f"targets {args.targets}  shots {args.shots}  "
           f"min delta_p {delta.min():.10g}  mean delta_p {delta.mean():.10g}",
           file=sys.stderr)
@@ -320,7 +297,7 @@ def cmd_oracle_check(args) -> int:
         lines.append(f"FAIL {f}")
     lines.append("PASS" if not failures else "FAIL")
     text = "\n".join(lines) + "\n"
-    _emit(text, args, "oracle-check", _clean_params(args), started)
+    _emit(text, args, started)
     if args.out:
         sys.stdout.write(lines[-1] + "\n")
     return 2 if failures else 0
@@ -330,11 +307,9 @@ def cmd_oracle_check(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _add_state_flags(p: argparse.ArgumentParser, two_states: bool = False):
+def _add_state_flags(p: argparse.ArgumentParser):
     p.add_argument("--state", required=True,
                    help="werner | rho_b | bell:<kind> | maximally-mixed | file:<path>")
-    if two_states:
-        p.add_argument("--state2", required=True, help="second resource state spec")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="werner mixing parameter")
     p.add_argument("--k", type=float, default=None, help="rho_b correlation parameter")
@@ -358,7 +333,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("rsp-sweep", help="payoff sweep over a target grid "
                        "for two resource states")
-    _add_state_flags(p, two_states=True)
+    _add_state_flags(p)
+    p.add_argument("--state2", required=True, help="second resource state spec")
     p.add_argument("--targets", type=int, default=58)
     p.add_argument("--shots", type=int, default=100000)
     p.set_defaults(func=cmd_rsp_sweep)

@@ -230,12 +230,6 @@ def purity(rho) -> float:
     return float(np.einsum("ij,ji->", m, m).real)
 
 
-def _clean_spectrum(w: np.ndarray) -> np.ndarray:
-    """Clamp eigenvalues in [-1e-9, 0) to 0 and renormalize to unit sum."""
-    w = np.where((w < 0.0) & (w >= -PSD_TOL), 0.0, w)
-    return w / w.sum()
-
-
 def _zero_floor(w: np.ndarray) -> np.ndarray:
     """Zero out eigenvalues at rounding-noise scale so sqrt cannot amplify
     them; keeps rank-deficient inputs exact."""
@@ -266,7 +260,10 @@ def state_fidelity(rho, sigma) -> float:
 def von_neumann_entropy(rho) -> float:
     """Base-2 entropy of a 2x2 or 4x4 density matrix (or TwoQubitState)."""
     m = rho.matrix if isinstance(rho, TwoQubitState) else np.asarray(rho, dtype=complex)
-    w = _clean_spectrum(np.linalg.eigvalsh(m))
+    w = np.linalg.eigvalsh(m)
+    # clamp eigenvalues in [-1e-9, 0) to 0 and renormalize to unit sum
+    w = np.where((w < 0.0) & (w >= -PSD_TOL), 0.0, w)
+    w = w / w.sum()
     w = w[w > 0.0]
     return float(-(w * np.log2(w)).sum())
 

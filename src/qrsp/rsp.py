@@ -227,10 +227,13 @@ def _divide_or_x(V, n, degenerate) -> np.ndarray:
 def average_payoff(rho, beta) -> float:
     """Payoff averaged over targets in the plane orthogonal to beta:
     (|E|_F^2 - |E beta|^2) / 2, optimal alpha at each target."""
-    beta = _unit(beta, "beta")
-    rep = to_bloch(rho)
-    eb = rep.E @ beta
-    return float(0.5 * (np.einsum("kl,kl->", rep.E, rep.E) - eb @ eb))
+    return float(_average_payoffs(to_bloch(rho).E, _unit(beta, "beta")[None])[0])
+
+
+def _average_payoffs(E, B) -> np.ndarray:
+    """average_payoff for each row of the (n, 3) unit axes B."""
+    EB = B @ E.T
+    return 0.5 * (np.einsum("kl,kl->", E, E) - np.einsum("nk,nk->n", EB, EB))
 
 
 def worst_beta(rho) -> np.ndarray:
@@ -254,11 +257,7 @@ def rsp_fidelity_oracle(rho, grid_points: int = 10000) -> float:
     Independent of the eigenvalue route; converges to rsp_fidelity from
     above as the grid is refined.
     """
-    rep = to_bloch(rho)
-    ge = _fibonacci_grid(grid_points) @ rep.E.T
-    norms = np.einsum("nk,nk->n", ge, ge)
-    total = np.einsum("kl,kl->", rep.E, rep.E)
-    return float(0.5 * (total - norms.max()))
+    return float(_average_payoffs(to_bloch(rho).E, _fibonacci_grid(grid_points)).min())
 
 
 # ---------------------------------------------------------------------------

@@ -146,10 +146,6 @@ def zero_discord(p: float, v, rho1, rho2) -> TwoQubitState:
 # seeded random ensembles
 # ---------------------------------------------------------------------------
 
-def _rng(seed):
-    return np.random.default_rng(seed)
-
-
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a Ginibre matrix with phase fix."""
     z = (rng.standard_normal((dim, dim)) + 1.0j * rng.standard_normal((dim, dim)))
@@ -165,7 +161,7 @@ def random_state(seed, rank: int = 4) -> TwoQubitState:
     """
     if rank not in (1, 2, 3, 4):
         raise ValueError(f"rank must be 1..4, got {rank}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     spectrum = np.zeros(4)
     spectrum[:rank] = rng.dirichlet(np.ones(rank))
     u = haar_unitary(4, rng)
@@ -184,7 +180,7 @@ def _ball_point(rng: np.random.Generator) -> np.ndarray:
 
 def random_zero_discord(seed) -> TwoQubitState:
     """Seeded random draw from the zero_discord family."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     return zero_discord(rng.random(), _sphere_point(rng),
                         _qubit_from_bloch(_ball_point(rng)),
                         _qubit_from_bloch(_ball_point(rng)))
@@ -192,7 +188,7 @@ def random_zero_discord(seed) -> TwoQubitState:
 
 def random_mixed_marginals(seed) -> TwoQubitState:
     """Random state with a = b = 0: Pauli twirl, then random local rotations."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     base = random_state(rng.integers(2**63), rank=4).matrix
     m = base.copy()
     for s in PAULIS:
@@ -210,7 +206,7 @@ def random_isotropic(seed) -> TwoQubitState:
     sides, so the local vector a points anywhere while |E s| is the same
     for every direction s.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     k = rng.uniform(-1.0 / 3.0, 1.0)
     t = rng.uniform(-(1.0 - k) / 2.0, (1.0 - k) / 2.0)
     state = rho_b(k, t)

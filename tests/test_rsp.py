@@ -193,6 +193,13 @@ def test_fidelity_oracle_brackets_closed_form():
                    - rsp_fidelity(state)) < 1e-12
 
 
+@settings(max_examples=50, deadline=None)
+@given(rho=drawn_states(), n=st.integers(1, 2000))
+def test_fidelity_oracle_is_the_minimum_average_payoff_on_its_grid(rho, n):
+    grid_min = min(average_payoff(rho, beta) for beta in fibonacci_sphere(n))
+    assert abs(rsp_fidelity_oracle(rho, grid_points=n) - grid_min) <= 1e-15
+
+
 def test_protocol_config_validation():
     ProtocolConfig(beta=EZ, target=EX)  # fine
     ProtocolConfig(beta=EZ, target=EX, alpha=EX)
