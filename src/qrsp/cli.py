@@ -12,7 +12,6 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,16 +38,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass
-class RunManifest:
-    command: str
-    parameters: dict
-    seed: int
-    artifact_version: str
-    outputs: list
-    duration_seconds: float
 
 
 def _parse_noise(text: str) -> tuple:
@@ -127,11 +116,11 @@ def _emit(text: str, args, started: float) -> None:
         return
     qstate._atomic_write(args.out, text)
     params = {k: v for k, v in vars(args).items() if k != "func" and v is not None}
-    manifest = RunManifest(command=args.command, parameters=params, seed=int(args.seed),
-                           artifact_version=__version__, outputs=[args.out],
-                           duration_seconds=time.monotonic() - started)
+    manifest = {"command": args.command, "parameters": params, "seed": int(args.seed),
+                "artifact_version": __version__, "outputs": [args.out],
+                "duration_seconds": time.monotonic() - started}
     qstate._atomic_write(f"{args.out}.manifest.json",
-                         json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n")
+                         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

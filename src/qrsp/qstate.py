@@ -129,26 +129,18 @@ def as_state(rho) -> TwoQubitState:
 
 @dataclass(frozen=True)
 class BlochRep:
-    """Local Bloch vectors a, b and 3x3 correlation tensor E of a valid state."""
+    """Local Bloch vectors a, b and 3x3 correlation tensor E, held as read-only
+    float arrays.  Whether they form a state is for from_bloch to decide."""
 
     a: np.ndarray
     b: np.ndarray
     E: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.a, dtype=float).reshape(3)
-        b = np.array(self.b, dtype=float).reshape(3)
-        E = np.array(self.E, dtype=float).reshape(3, 3)
-        tol = 1e-9
-        if np.linalg.norm(a) > 1.0 + tol or np.linalg.norm(b) > 1.0 + tol:
-            raise StateError("local Bloch vector has norm > 1")
-        if np.abs(E).max() > 1.0 + tol:
-            raise StateError("correlation tensor entry outside [-1, 1]")
-        for arr in (a, b, E):
+        for name, shape in (("a", 3), ("b", 3), ("E", (3, 3))):
+            arr = np.array(getattr(self, name), dtype=float).reshape(shape)
             arr.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "E", E)
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -194,7 +186,10 @@ def bloch_matrix(a, b, E) -> np.ndarray:
 
 
 def from_bloch(rep: BlochRep) -> TwoQubitState:
-    """Inverse of to_bloch.  Raises NotAState if the assembly is not a state."""
+    """Inverse of to_bloch.  Raises NotAState if a coefficient is not finite
+    or the assembly is not a state."""
+    if not all(np.isfinite(x).all() for x in (rep.a, rep.b, rep.E)):
+        raise NotAState("Bloch coefficients have non-finite entries")
     try:
         return TwoQubitState(bloch_matrix(rep.a, rep.b, rep.E))
     except StateError as exc:
@@ -290,16 +285,16 @@ def concurrence(rho) -> float:
     """Wootters concurrence.
 
     C = max(0, mu1 - mu2 - mu3 - mu4) with mu_i the descending square
-    roots of the eigenvalues of rho (Y x Y) rho* (Y x Y).  Eigenvalues
-    below 1e-12 are treated as zero before the square root; they are
-    rounding noise of the non-symmetric eigensolver.
+    roots of the eigenvalues of the Hermitian sqrt(rho) rho~ sqrt(rho),
+    rho~ = (Y x Y) rho* (Y x Y).  Eigenvalues below 1e-12 are treated as
+    zero before the square root; they are rounding noise.
     """
     m = as_state(rho).matrix
     yy = _E_OPS[1][1]
-    r = m @ yy @ m.conj() @ yy
-    w = np.linalg.eigvals(r).real
+    root = _psd_sqrt(m)
+    w = np.linalg.eigvalsh(root @ yy @ m.conj() @ yy @ root)
     w = np.where(w < 1e-12, 0.0, w)
-    mu = np.sort(np.sqrt(w))[::-1]
+    mu = np.sqrt(w)[::-1]  # eigvalsh is ascending
     return float(max(0.0, mu[0] - mu[1] - mu[2] - mu[3]))
 
 

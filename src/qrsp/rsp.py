@@ -167,6 +167,15 @@ def apply_correction(v, beta) -> np.ndarray:
     return _correct(np.asarray(v, dtype=float).reshape(3), beta)
 
 
+def _corrected_branches(rep, A, B) -> tuple:
+    """(P+, b+, P-, R_pi b-) for each row of the (n, 3) Alice axes A, with
+    b- rotated by pi about the Bob axis B of its row.  A branch of
+    probability <= 1e-12 has the zero vector, which R_pi keeps at zero."""
+    p_plus, b_plus = _branch(rep, A, 1)
+    p_minus, b_minus = _branch(rep, A, -1)
+    return p_plus, b_plus, p_minus, _correct(b_minus, B)
+
+
 def ensemble_state(rho, alpha_hat, beta) -> np.ndarray:
     """Average corrected Bloch vector r = P(+) b_+ + P(-) R_pi b_-.
 
@@ -175,16 +184,9 @@ def ensemble_state(rho, alpha_hat, beta) -> np.ndarray:
     """
     alpha_hat = _unit(alpha_hat, "alpha_hat")
     beta = _unit(beta, "beta")
-    rep = to_bloch(rho)
-    r = np.zeros(3)
-    for outcome in (1, -1):
-        prob, vec = _branch(rep, alpha_hat[None], outcome)
-        if prob[0] <= PROB_TOL:
-            continue
-        if outcome == -1:
-            vec = _correct(vec, beta)
-        r = r + prob[0] * vec[0]
-    return r
+    p_plus, b_plus, p_minus, b_minus = _corrected_branches(
+        to_bloch(rho), alpha_hat[None], beta[None])
+    return p_plus[0] * b_plus[0] + p_minus[0] * b_minus[0]
 
 
 def payoff(r, s) -> float:
@@ -306,10 +308,7 @@ def _simulate_rows(rep, S, B, A, shots: int, seeds) -> list:
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    p_plus, b_plus = _branch(rep, A, 1)
-    p_minus, b_minus = _branch(rep, A, -1)
-    # a branch that is never sampled stands as the zero vector
-    b_minus = np.where((p_minus > PROB_TOL)[:, None], _correct(b_minus, B), 0.0)
+    p_plus, b_plus, _, b_minus = _corrected_branches(rep, A, B)
     p_plus = np.clip(p_plus, 0.0, 1.0)
     f = np.array([int(np.random.default_rng(seed).binomial(shots, p)) / shots
                   for seed, p in zip(seeds, p_plus.tolist())])

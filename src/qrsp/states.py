@@ -42,8 +42,8 @@ class MixtureSpec:
         if not comps:
             raise ValueError("mixture needs at least one component")
         for w, _ in comps:
-            if w < 0.0:
-                raise ValueError(f"negative mixture weight {w:.6g}")
+            if not w >= 0.0:  # also rejects NaN
+                raise ValueError(f"mixture weight must be non-negative, got {w:.6g}")
         total = sum(w for w, _ in comps)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mixture weights sum to {total:.12g}, expected 1")

@@ -86,8 +86,8 @@ def measurement_probabilities(rho, setting) -> np.ndarray:
 
 def sample_counts(rho, setting, mean_total: float, seed) -> CountRecord:
     """Poisson counts for one setting, mean mean_total * p per outcome."""
-    if mean_total <= 0:
-        raise ValueError("mean_total must be positive")
+    if not 0 < mean_total < np.inf:  # also rejects NaN
+        raise ValueError(f"mean_total must be positive and finite, got {mean_total}")
     p = measurement_probabilities(rho, setting)
     rng = np.random.default_rng(seed)
     counts = rng.poisson(mean_total * p)
@@ -109,14 +109,14 @@ def mixture_by_duration(components, mean_rate: float, seed):
     mean_rate * w_i * p per outcome, drawn from the stream (seed, k, l, i);
     per-setting counts are the sums over components.
     """
-    if mean_rate <= 0:
-        raise ValueError("mean_rate must be positive")
+    if not 0 < mean_rate < np.inf:  # also rejects NaN
+        raise ValueError(f"mean_rate must be positive and finite, got {mean_rate}")
     comps = [(as_state(s), float(w)) for s, w in components]
     if not comps:
         raise ValueError("mixture needs at least one component")
     for _, w in comps:
-        if w < 0.0:
-            raise ValueError(f"negative duration weight {w:.6g}")
+        if not 0.0 <= w < np.inf:  # also rejects NaN
+            raise ValueError(f"weight {w:.6g} is not a finite non-negative duration")
     if sum(w for _, w in comps) <= 0.0:
         raise ValueError("duration weights sum to zero")
     records = []

@@ -22,7 +22,14 @@ from qrsp.cli import (
     main,
     quantities_of,
 )
-from qrsp.qstate import StateError, load_state_file, save_state_file, state_fidelity
+from qrsp.qstate import (
+    StateError,
+    TwoQubitState,
+    load_state_file,
+    save_state_file,
+    state_fidelity,
+    to_bloch,
+)
 from qrsp.states import random_state, rho_b, werner
 from qrsp.rsp import ProtocolConfig, SweepResult, run_round
 
@@ -202,6 +209,17 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     assert main(["characterize", "--state", f"file:{tmp_path}/absent.json"]) == 2
     assert main(["characterize", "--state", "werner", "--lambda", "1.5"]) == 2
     capsys.readouterr()
+
+
+def test_state_at_the_psd_tolerance_is_characterized(tmp_path, capsys):
+    # its eigenvalue -9e-10 is within PSD_TOL, so |a| = 1 + 1.8e-9 is a valid
+    # state's Bloch vector; no second bound may refuse it after validation
+    rho = TwoQubitState(np.diag([1.0 + 9e-10, 0.0, 0.0, -9e-10]))
+    assert to_bloch(rho).a[2] > 1.0 + 1e-9
+    path = tmp_path / "edge.json"
+    save_state_file(rho, path)
+    assert main(["characterize", "--state", f"file:{path}", "--format", "csv"]) == 0
+    assert set(_parse_csv(capsys.readouterr().out)) == set(quantities_of(rho))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -435,15 +453,15 @@ _EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 _GOLDEN = {
     "characterize": (
         ["characterize", *_RHO_B, "--format", "csv"],
-        "3787eccecf7b158c053dc386f9cec020a238655508a65b4ad723416c77702c98", _EMPTY),
+        "ca2eb020c963a7b556bd6d7871fb72e03553fb5c7951f1db62fb1d87766a0c1a", _EMPTY),
     "characterize-noise-rot": (
         ["characterize", *_RHO_B, "--format", "csv", "--noise", "poisson:1e5,rot:z:0.1",
          "--seed", "7"],
-        "789f179ccee941f8bd81bff389fb26bfaf8f0ea184f231cc699d0fc7698bf6a8", _EMPTY),
+        "86f91efefa72dcd1249f446e3ad07e4eae62d4b041ac768f053c5df45ac557ce", _EMPTY),
     "characterize-werner-noise": (
         ["characterize", "--state", "werner", "--lambda", "0.8", "--format", "csv",
          "--noise", "poisson:1e3", "--seed", "5"],
-        "490a967d30fa2389caf2963ec8d9f48dafa20d51297e8334c34e57951477dc30", _EMPTY),
+        "9b815d6530d44817e8ce501e3eca7f910f315efa1a1b687d62c31771593b0679", _EMPTY),
     "rsp-sweep": (
         ["rsp-sweep", *_RHO_B, "--state2", "werner", "--lambda", _W3, "--seed", "1",
          "--format", "csv"],
@@ -474,7 +492,7 @@ _GOLDEN = {
     "characterize-noise-rot-y": (
         ["characterize", *_RHO_B, "--format", "csv", "--noise", "poisson:1e4,rot:y:-0.3",
          "--seed", "7"],
-        "3a38ea9dc0f7a00b7c7fc2f3bee63e891e706719681ddcf1f25e35d47b9e297e", _EMPTY),
+        "88a60c869ca809f3cc7db18ccf1d04a6b64b00654cf6fdf5a037dd77e7a75798", _EMPTY),
 }
 
 

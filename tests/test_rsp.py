@@ -366,6 +366,37 @@ def test_sweep_bit_identical_to_per_target_reference(rho, n, shots, seed):
                           [r.beta for r in reference.records])
 
 
+def _reference_ensemble_state(rho, alpha, beta) -> np.ndarray:
+    """ensemble_state as a loop over the two outcomes with the one-axis
+    formulas, skipping a branch of probability <= 1e-12."""
+    rep = to_bloch(rho)
+    r = np.zeros(3)
+    for outcome in (1, -1):
+        p = 0.5 * (1.0 + outcome * (alpha @ rep.a))
+        if p <= 1e-12:
+            continue
+        vec = (rep.b + outcome * (rep.E.T @ alpha)) / (2.0 * p)
+        if outcome == -1:
+            vec = 2.0 * (vec @ beta) * beta - vec
+        r = r + p * vec
+    return r
+
+
+_UNIT = (st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array)
+         .filter(lambda v: np.linalg.norm(v) > 1e-3).map(lambda v: v / np.linalg.norm(v)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rho=st.one_of(drawn_states(), _pure_products()), alpha=_UNIT, beta=_UNIT,
+       along_a=st.sampled_from([0, 1, -1]))
+def test_ensemble_state_bit_identical_to_branch_loop(rho, alpha, beta, along_a):
+    a = to_bloch(rho).a
+    if along_a and np.linalg.norm(a) > 1e-6:  # one branch of a pure product is dead
+        alpha = along_a * a / np.linalg.norm(a)
+    assert np.array_equal(ensemble_state(rho, alpha, beta),
+                          _reference_ensemble_state(rho, alpha, beta))
+
+
 def test_sweep_rejects_bad_targets():
     state = rho_b(0.2, 0.4)
     targets = fibonacci_sphere(5)

@@ -121,6 +121,8 @@ def test_mixture_spec_validation():
         MixtureSpec(())
     with pytest.raises(ValueError, match="negative"):
         MixtureSpec(((-0.1, bell("psi_plus")), (1.1, bell("psi_minus"))))
+    with pytest.raises(ValueError, match="mixture weight"):
+        MixtureSpec(((float("nan"), bell("psi_plus")), (1.0, bell("psi_minus"))))
     with pytest.raises(ValueError, match="sum to"):
         MixtureSpec(((0.5, bell("psi_plus")), (0.6, bell("psi_minus"))))
 

@@ -62,8 +62,9 @@ def test_sample_counts_poisson_moments():
         rec = sample_counts(werner(1.0 / 3.0), (3, 3), mean_total, seed)
         for c, mean in zip(rec.counts, mean_total * p):
             assert abs(c - mean) <= 4.0 * np.sqrt(mean)
-    with pytest.raises(ValueError, match="mean_total"):
-        sample_counts(werner(0.5), (1, 1), 0, 0)
+    for bad in (0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="mean_total"):
+            sample_counts(werner(0.5), (1, 1), bad, 0)
 
 
 def test_forbidden_outcome_never_counted():
@@ -186,12 +187,17 @@ def test_psd_repair_rate_falls_with_counts(caplog):
 
 
 def test_mixture_by_duration_validation():
-    with pytest.raises(ValueError, match="mean_rate"):
-        mixture_by_duration([(werner(0.5), 1.0)], 0, 0)
+    for bad in (0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="mean_rate"):
+            mixture_by_duration([(werner(0.5), 1.0)], bad, 0)
     with pytest.raises(ValueError, match="at least one"):
         mixture_by_duration([], 100, 0)
     with pytest.raises(ValueError, match="negative duration"):
         mixture_by_duration([(werner(0.5), -0.5)], 100, 0)
+    for weights in ([1.0, np.nan], [np.nan], [1.0, np.inf]):
+        with pytest.raises(ValueError, match="weight"):
+            mixture_by_duration([(werner(0.5 + 0.1 * i), w) for i, w in enumerate(weights)],
+                                100, 0)
     with pytest.raises(ValueError, match="sum to zero"):
         mixture_by_duration([(werner(0.5), 0.0)], 100, 0)
 
