@@ -6,7 +6,6 @@ from .qstate import (
     NotHermitian,
     NotPositive,
     NotUnitTrace,
-    SchmidtForm,
     StateError,
     TwoQubitState,
     apply_local_unitaries,
@@ -17,7 +16,6 @@ from .qstate import (
     partial_trace,
     purity,
     save_state_file,
-    schmidt_canonical,
     state_fidelity,
     to_bloch,
     von_neumann_entropy,

@@ -21,7 +21,6 @@ DISCORD_GAP_TOL = 1e-3
 FIDELITY_GAP_TOL = 5e-3
 DOMINANCE_TOL = 1e-6
 ZERO_DISCORD_TOL = 1e-9
-MAX_MEAN_TOTAL = 1e18  # below numpy's largest Poisson mean (~9.2e18); every p <= 1
 MAX_TARGETS = 10**6  # rsp-sweep --targets: each sweep holds a few (n, 3) arrays
 MAX_GRID_POINTS = 10**6  # oracle-check --grid-points: one cached (n, 3) grid
 MAX_ENSEMBLE = 10**6  # oracle-check --ensemble size
@@ -50,8 +49,9 @@ def _parse_noise(text: str) -> tuple:
         mean_total = float(head[1])
     except ValueError as exc:
         raise UsageError(f"bad mean_total in noise spec {text!r}") from exc
-    if not 0.0 < mean_total <= MAX_MEAN_TOTAL:  # also rejects NaN
-        raise UsageError(f"mean_total must be in (0, {MAX_MEAN_TOTAL:.0e}] in noise spec {text!r}")
+    if not 0.0 < mean_total <= tomo.MAX_MEAN_TOTAL:  # also rejects NaN
+        raise UsageError(
+            f"mean_total must be in (0, {tomo.MAX_MEAN_TOTAL:.0e}] in noise spec {text!r}")
     if len(parts) > 2:
         raise UsageError(f"noise spec {text!r} has more than one rot: component")
     axis, angle = None, 0.0
@@ -238,16 +238,19 @@ def evaluate_oracle_gaps(ensemble, grid_points: int) -> dict:
     count = 0
     ensemble = iter(ensemble)
     while chunk := [qstate.as_state(rho) for rho in itertools.islice(ensemble, _ORACLE_CHUNK)]:
-        oracles = discord._oracle_rows(np.stack([rho.matrix for rho in chunk]))
-        for rho, oracle in zip(chunk, oracles.tolist()):
+        n = len(chunk)
+        purity, M = discord._quadratic_form(np.stack([rho.matrix for rho in chunk]))
+        c, Q = rsp._payoff_form(np.stack([rho.bloch.E for rho in chunk]))
+        found = rsp._sphere_min(np.concatenate([purity, c]), np.concatenate([M, Q]),
+                                [discord.ORACLE_AXES] * n + [grid_points] * n)
+        for rho, oracle, fid_oracle in zip(chunk, found[:n].tolist(), found[n:].tolist()):
             closed = discord.geometric_discord(rho).value
             fid = rsp.rsp_fidelity(rho)
-            fid_oracle = rsp.rsp_fidelity_oracle(rho, grid_points=grid_points)
             max_discord_gap = max(max_discord_gap, abs(oracle - closed))
             max_fidelity_gap = max(max_fidelity_gap, abs(fid_oracle - fid))
             worst_dominance = max(worst_dominance, closed - oracle)
             max_closed = max(max_closed, closed)
-        count += len(chunk)
+        count += n
     if count == 0:
         raise ValueError("oracle check needs at least one state")
     return {

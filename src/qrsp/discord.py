@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import _A_OPS, as_state, schmidt_canonical, to_bloch
-from .rsp import _fibonacci_grid
+from .qstate import _A_OPS, as_state, to_bloch
+from .rsp import _sphere_min
 
 ANGLE_TOL = 1e-6  # radians; parallelism threshold for the special class
 DEGENERACY_TOL = 1e-9  # singular values this close count as equal
@@ -72,7 +72,7 @@ def discord_special_form(rho) -> float:
         raise NotInSpecialClass(
             "a is neither zero nor aligned with the top singular direction, "
             "and E is not isotropic")
-    sv = schmidt_canonical(to_bloch(rho).E).singular_values
+    sv = np.linalg.svd(to_bloch(rho).E)[1]  # compute_uv=False rounds differently
     return float(0.5 * (sv[1] ** 2 + sv[2] ** 2))
 
 
@@ -89,73 +89,26 @@ def is_zero_discord(rho, tol: float = 1e-9) -> bool:
 # N = v.sigma x 1 (Luo & Fu, PRA 82, 034302), so D^2 = min_v 2 Tr(rho - chi)^2.
 # Because N^2 = 1, that objective is exactly Tr rho^2 - v.M v with
 # M_kl = Re Tr(S_k rho S_l rho) and S_k = sigma_k x 1, so M comes from matrix
-# traces, not from the Bloch triple.  The search scores a Fibonacci grid of
-# axes, then refines the best few by a (theta, phi) pattern search.  It never
-# forms a a^T + E E^T and never takes an eigenvalue.
+# traces, not from the Bloch triple.  rsp._sphere_min minimizes it; the
+# oracle never forms a a^T + E E^T and never takes an eigenvalue.
 
-ORACLE_AXES = 500  # grid axes scored up front
-ORACLE_REFINED = 4  # best grid axes refined by pattern search
-_STEP_TOL = 1e-7  # radians; refinement stops once every step is below this
-
-_MOVES = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+ORACLE_AXES = 50  # Fibonacci axes scored to seed the descent
 
 
 def _quadratic_form(m: np.ndarray) -> tuple:
     """(Tr rho^2, M) for each state matrix of the (n, 4, 4) stack m."""
     sm = _A_OPS @ m[:, None]  # S_k rho, (n, 3, 4, 4)
-    # M is copied to a contiguous array, as _oracle_rows' row selections are:
-    # matvec rounds differently on strided rows
+    # M is copied to a contiguous array, as _sphere_min needs: matvec rounds
+    # differently on strided rows
     return (np.einsum("nij,nij->n", m, m.conj()).real,
             np.einsum("nkij,nlji->nkl", sm, sm).real.copy())
 
 
-def _objective(purity: np.ndarray, M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """2 Tr(rho - chi_v)^2 = Tr rho^2 - v.M v for the unit axes v (..., 3)."""
-    return purity - np.vecdot(v, np.matvec(M, v))
-
-
-def _axes(angles: np.ndarray) -> np.ndarray:
-    """Unit axes for the (theta, phi) pairs along the last dimension."""
-    s, c = np.sin(angles), np.cos(angles)
-    v = np.empty(angles.shape[:-1] + (3,))
-    np.multiply(s[..., 0], c[..., 1], out=v[..., 0])
-    np.multiply(s[..., 0], s[..., 1], out=v[..., 1])
-    v[..., 2] = c[..., 0]
-    return v
-
-
 def _oracle_rows(m: np.ndarray) -> np.ndarray:
-    """geometric_discord_oracle of each state matrix of the (n, 4, 4) stack m.
-
-    The states and their refined axes step in lockstep.  A state leaves the
-    search once every one of its steps is below _STEP_TOL, so each result
-    equals that of a call on the state alone.
-    """
+    """geometric_discord_oracle of each state matrix of the (n, 4, 4) stack m;
+    each result equals that of a call on the state alone."""
     purity, M = _quadratic_form(m)
-    grid = _fibonacci_grid(ORACLE_AXES)
-    fx = _objective(purity[:, None], M[:, None], grid)
-    top = np.argsort(fx, axis=1)[:, :ORACLE_REFINED]
-    fx, best = np.take_along_axis(fx, top, axis=1), grid[top]
-    x = np.stack([np.arccos(best[..., 2]), np.arctan2(best[..., 1], best[..., 0])], axis=-1)
-    step = np.full(fx.shape, np.sqrt(4.0 * np.pi / ORACLE_AXES))  # grid spacing
-    purity, M = purity[:, None, None], M[:, None, None]
-    found, live = np.empty(len(m)), np.arange(len(m))
-    rows, cols = live[:, None], np.arange(ORACLE_REFINED)
-    while live.size:
-        trial = x[:, :, None] + step[:, :, None, None] * _MOVES
-        ft = _objective(purity, M, _axes(trial))
-        j = ft.argmin(axis=2)
-        fj = ft[rows, cols, j]
-        moved = fj < fx
-        x = np.where(moved[..., None], trial[rows, cols, j], x)
-        fx = np.where(moved, fj, fx)
-        step = np.where(moved, step, 0.5 * step)
-        done = (step <= _STEP_TOL).all(axis=1)
-        if done.any():
-            found[live[done]] = fx[done].min(axis=1)
-            live, x, fx, step, purity, M = (a[~done] for a in (live, x, fx, step, purity, M))
-            rows = rows[:live.size]
-    return found
+    return _sphere_min(purity, M, [ORACLE_AXES] * len(m))
 
 
 def geometric_discord_oracle(rho) -> float:

@@ -143,20 +143,6 @@ class BlochRep:
             object.__setattr__(self, name, arr)
 
 
-@dataclass(frozen=True)
-class SchmidtForm:
-    """Singular-value form of a correlation tensor under proper rotations.
-
-    rot_a and rot_b are proper rotations (det +1) with
-    rot_a @ E @ rot_b.T = signs @ diag(singular_values).
-    """
-
-    singular_values: np.ndarray  # sorted descending, >= 0
-    rot_a: np.ndarray
-    rot_b: np.ndarray
-    signs: np.ndarray  # diagonal matrix of +-1
-
-
 # ---------------------------------------------------------------------------
 # representation conversions
 # ---------------------------------------------------------------------------
@@ -194,26 +180,6 @@ def from_bloch(rep: BlochRep) -> TwoQubitState:
         return TwoQubitState(bloch_matrix(rep.a, rep.b, rep.E))
     except StateError as exc:
         raise NotAState(f"Bloch coefficients do not give a state: {exc}") from exc
-
-
-def schmidt_canonical(E) -> SchmidtForm:
-    """Rotate a correlation tensor to diagonal form with proper rotations.
-
-    The singular values are returned in descending order; any reflection
-    needed to keep det(rot) = +1 is absorbed into a diagonal sign matrix:
-    rot_a @ E @ rot_b.T = signs @ diag(E1, E2, E3).
-    """
-    E = np.asarray(E, dtype=float).reshape(3, 3)
-    u, s, vt = np.linalg.svd(E)
-    det_u = np.linalg.det(u)
-    det_v = np.linalg.det(vt.T)
-    # flip the last column so each factor is a proper rotation
-    u = u.copy()
-    v = vt.T.copy()
-    u[:, 2] *= np.sign(det_u)
-    v[:, 2] *= np.sign(det_v)
-    signs = np.diag([1.0, 1.0, float(np.sign(det_u) * np.sign(det_v))])
-    return SchmidtForm(singular_values=s, rot_a=u.T, rot_b=v.T, signs=signs)
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +273,6 @@ def su2_rotation(axis, angle: float) -> np.ndarray:
     axis = _unit(axis, "axis")
     h = axis[0] * SIGMA_X + axis[1] * SIGMA_Y + axis[2] * SIGMA_Z
     return np.cos(angle / 2.0) * IDENTITY_2 - 1.0j * np.sin(angle / 2.0) * h
-
-
-def unitary_to_rotation(u: np.ndarray) -> np.ndarray:
-    """SO(3) action of a single-qubit unitary: O_ij = Tr(s_i U s_j U†)/2."""
-    u = np.asarray(u, dtype=complex)
-    return np.array([[0.5 * np.trace(si @ u @ sj @ u.conj().T).real
-                      for sj in PAULIS] for si in PAULIS])
 
 
 def apply_local_unitaries(rho, u_a: np.ndarray, u_b: np.ndarray) -> TwoQubitState:

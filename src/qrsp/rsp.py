@@ -46,14 +46,6 @@ class ProtocolConfig:
 
 
 @dataclass(frozen=True)
-class RspRound:
-    alpha_hat: np.ndarray
-    outcome: int  # +1 or -1
-    bob_conditional: np.ndarray
-    corrected: np.ndarray
-
-
-@dataclass(frozen=True)
 class SweepRecord:
     target: np.ndarray
     beta: np.ndarray
@@ -229,13 +221,15 @@ def _divide_or_x(V, n, degenerate) -> np.ndarray:
 def average_payoff(rho, beta) -> float:
     """Payoff averaged over targets in the plane orthogonal to beta:
     (|E|_F^2 - |E beta|^2) / 2, optimal alpha at each target."""
-    return float(_average_payoffs(to_bloch(rho).E, _unit(beta, "beta")[None])[0])
+    c, Q = _payoff_form(to_bloch(rho).E[None])
+    return float(_objective(c, Q, _unit(beta, "beta")[None])[0])
 
 
-def _average_payoffs(E, B) -> np.ndarray:
-    """average_payoff for each row of the (n, 3) unit axes B."""
-    EB = B @ E.T
-    return 0.5 * (np.einsum("kl,kl->", E, E) - np.einsum("nk,nk->n", EB, EB))
+def _payoff_form(E) -> tuple:
+    """(c, Q) with average payoff c - beta.Q beta, c = |E|_F^2 / 2 and
+    Q = E^T E / 2, for each correlation tensor of the (n, 3, 3) stack E."""
+    flat = E.reshape(len(E), 9)
+    return 0.5 * np.vecdot(flat, flat), 0.5 * (np.matrix_transpose(E) @ E)
 
 
 def worst_beta(rho) -> np.ndarray:
@@ -254,30 +248,16 @@ def rsp_fidelity(rho) -> float:
 
 
 def rsp_fidelity_oracle(rho, grid_points: int = 10000) -> float:
-    """min over a Fibonacci grid of beta of the average payoff.
-
-    Independent of the eigenvalue route; converges to rsp_fidelity from
-    above as the grid is refined.
-    """
-    return float(_average_payoffs(to_bloch(rho).E, _fibonacci_grid(grid_points)).min())
+    """min over Bob's axis beta of the average payoff, by _sphere_min seeded
+    with grid_points Fibonacci axes.  It takes no eigenvalue of E^T E, is at
+    most the grid's minimum and equals rsp_fidelity up to rounding."""
+    c, Q = _payoff_form(to_bloch(rho).E[None])
+    return float(_sphere_min(c, Q, [grid_points])[0])
 
 
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
-
-def run_round(rho, config: ProtocolConfig, rng: np.random.Generator) -> RspRound:
-    """Sample a single protocol round."""
-    alpha_hat = config.alpha
-    if alpha_hat is None:
-        alpha_hat = optimal_alpha(rho, config.target)
-    p_plus = np.clip(outcome_probability(rho, alpha_hat, 1), 0.0, 1.0)
-    outcome = 1 if rng.random() < p_plus else -1
-    vec = bob_conditional_state(rho, alpha_hat, outcome)
-    corrected = apply_correction(vec, config.beta) if outcome == -1 else vec
-    return RspRound(alpha_hat=alpha_hat, outcome=outcome,
-                    bob_conditional=vec, corrected=corrected)
-
 
 def simulate(rho, config: ProtocolConfig, shots: int, seed) -> SweepRecord:
     """Monte Carlo estimate of the payoff from `shots` protocol rounds.
@@ -343,6 +323,63 @@ def _fibonacci_grid(n: int) -> np.ndarray:
     grid = fibonacci_sphere(n)
     grid.flags.writeable = False
     return grid
+
+
+# Both oracles minimize f(v) = c - v.Q v over unit axes v, for a symmetric
+# 3 x 3 form Q: discord with c = Tr rho^2 and Q = M, the RSP fidelity with
+# c = |E|_F^2 / 2 and Q = E^T E / 2.  On the unit sphere the critical points
+# of f are the eigenvectors of Q.  Along the geodesic from eigenvector u_i
+# towards u_j, f'' = 2 (lambda_i - lambda_j), so u_i is a local minimum only
+# if lambda_i is the top eigenvalue: every local minimum is the global one,
+# and a grid only seeds the descent.  The descent takes no eigenvalue.
+
+_STEP_TOL = 1e-7  # radians; a row's descent stops once its step is below this
+_MOVES = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+
+
+def _objective(c, Q, v) -> np.ndarray:
+    """c - v.Q v for the unit axes v (..., 3)."""
+    return c - np.vecdot(v, np.matvec(Q, v))
+
+
+def _axes(angles: np.ndarray) -> np.ndarray:
+    """Unit axes for the (theta, phi) pairs along the last dimension."""
+    s, c = np.sin(angles), np.cos(angles)
+    v = np.empty(angles.shape[:-1] + (3,))
+    np.multiply(s[..., 0], c[..., 1], out=v[..., 0])
+    np.multiply(s[..., 0], s[..., 1], out=v[..., 1])
+    v[..., 2] = c[..., 0]
+    return v
+
+
+def _sphere_min(c, Q, grid_points) -> np.ndarray:
+    """min over unit v of c[i] - v.Q[i] v for each row i, by a (theta, phi)
+    pattern search from the best axis of _fibonacci_grid(grid_points[i]),
+    with that grid's spacing as first step.  Each grid is scored for its row
+    alone, so no array grows as rows times grid points.  The rows step in
+    lockstep and a row leaves once its step is below _STEP_TOL, so each
+    result equals a call on its row alone.  Q must be C-contiguous: matvec
+    rounds differently on strided rows."""
+    grids = [_fibonacci_grid(n) for n in grid_points]
+    v = np.stack([g[np.vecdot(g @ q, g).argmax()] for g, q in zip(grids, Q)])
+    step = np.sqrt(4.0 * np.pi / np.array(grid_points, dtype=float))
+    fx = _objective(c, Q, v)
+    x = np.stack([np.arccos(v[:, 2]), np.arctan2(v[:, 1], v[:, 0])], axis=1)
+    found, live = np.empty(len(c)), np.arange(len(c))
+    while live.size:
+        trial = x[:, None] + step[:, None, None] * _MOVES
+        ft = _objective(c[:, None], Q[:, None], _axes(trial))
+        rows, j = np.arange(live.size), ft.argmin(axis=1)
+        fj = ft[rows, j]
+        moved = fj < fx
+        x = np.where(moved[:, None], trial[rows, j], x)
+        fx = np.where(moved, fj, fx)
+        step = np.where(moved, step, 0.5 * step)
+        done = step <= _STEP_TOL
+        if done.any():
+            found[live[done]] = fx[done]
+            live, x, fx, step, c, Q = (a[~done] for a in (live, x, fx, step, c, Q))
+    return found
 
 
 def beta_for_target(s) -> np.ndarray:

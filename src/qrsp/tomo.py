@@ -30,6 +30,7 @@ from .qstate import (
 logger = logging.getLogger(__name__)
 
 SETTINGS = tuple((k, l) for k in (1, 2, 3) for l in (1, 2, 3))
+MAX_MEAN_TOTAL = 1e18  # below numpy's largest Poisson mean (~9.2e18); every p <= 1
 
 _COUNT_HEADER = ["k", "l", "n_pp", "n_pm", "n_mp", "n_mm"]
 
@@ -86,8 +87,8 @@ def measurement_probabilities(rho, setting) -> np.ndarray:
 
 def sample_counts(rho, setting, mean_total: float, seed) -> CountRecord:
     """Poisson counts for one setting, mean mean_total * p per outcome."""
-    if not 0 < mean_total < np.inf:  # also rejects NaN
-        raise ValueError(f"mean_total must be positive and finite, got {mean_total}")
+    if not 0 < mean_total <= MAX_MEAN_TOTAL:  # also rejects NaN
+        raise ValueError(f"mean_total must be in (0, {MAX_MEAN_TOTAL:.0e}], got {mean_total}")
     p = measurement_probabilities(rho, setting)
     rng = np.random.default_rng(seed)
     counts = rng.poisson(mean_total * p)
@@ -117,6 +118,8 @@ def mixture_by_duration(components, mean_rate: float, seed):
     for _, w in comps:
         if not 0.0 <= w < np.inf:  # also rejects NaN
             raise ValueError(f"weight {w:.6g} is not a finite non-negative duration")
+        if mean_rate * w > MAX_MEAN_TOTAL:
+            raise ValueError(f"mean_rate * weight {mean_rate * w:.3e} > {MAX_MEAN_TOTAL:.0e}")
     if sum(w for _, w in comps) <= 0.0:
         raise ValueError("duration weights sum to zero")
     records = []

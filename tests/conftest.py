@@ -4,12 +4,19 @@ import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from qrsp.qstate import TwoQubitState
+from qrsp.qstate import PAULIS, TwoQubitState
 
 
 def unit_vector(rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
+
+
+def unitary_to_rotation(u: np.ndarray) -> np.ndarray:
+    """SO(3) action of a single-qubit unitary: O_ij = Tr(s_i U s_j U^+)/2."""
+    u = np.asarray(u, dtype=complex)
+    return np.array([[0.5 * np.trace(si @ u @ sj @ u.conj().T).real
+                      for sj in PAULIS] for si in PAULIS])
 
 
 def perp_pair(rng: np.random.Generator):

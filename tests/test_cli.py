@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrsp import __version__, cli, qstate
+from qrsp import __version__, cli, discord, qstate, rsp
 from qrsp.cli import (
     MAX_ENSEMBLE,
     MAX_GRID_POINTS,
@@ -31,7 +31,6 @@ from qrsp.qstate import (
     to_bloch,
 )
 from qrsp.states import random_state, rho_b, werner
-from qrsp.rsp import ProtocolConfig, SweepResult, run_round
 
 
 def _parse_text(out: str) -> dict:
@@ -297,7 +296,7 @@ def test_oracle_check_passes(tmp_path, capsys):
     assert main(["oracle-check", "--ensemble", "random:5",
                  "--grid-points", "4000", "--seed", "0"]) == 0
     out = capsys.readouterr().out
-    assert out.splitlines()[0] == "ensemble random:5  states 5  axes 500  grid 4000  seed 0"
+    assert out.splitlines()[0] == "ensemble random:5  states 5  axes 50  grid 4000  seed 0"
     assert out.strip().endswith("PASS")
 
     report = tmp_path / "oracle.txt"
@@ -320,12 +319,14 @@ def test_oracle_check_regression_seeds(argv, capsys):
     assert capsys.readouterr().out.strip().endswith("PASS")
 
 
-def test_oracle_check_fails_on_coarse_grid(capsys):
-    # 2 grid points cannot track the worst-case axis
+def test_oracle_check_fails_past_the_fidelity_tolerance(monkeypatch, capsys):
+    # a gap is never negative, so a negative tolerance fails every run
+    monkeypatch.setattr(cli, "FIDELITY_GAP_TOL", -1.0)
     assert main(["oracle-check", "--ensemble", "random:3",
                  "--grid-points", "2", "--seed", "0"]) == 2
-    out = capsys.readouterr().out
-    assert "FAIL" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("FAIL fidelity gap") for line in lines)
+    assert lines[-1] == "FAIL"
 
 
 def test_oracle_check_bad_ensemble(capsys):
@@ -342,9 +343,25 @@ def test_evaluate_oracle_gaps_refuses_empty_ensemble():
 def test_evaluate_oracle_gaps_does_not_depend_on_chunking(monkeypatch):
     ensemble = [random_state(seed, rank=1 + seed % 4) for seed in range(7)]
     whole = evaluate_oracle_gaps(ensemble, grid_points=500)
+    found, sphere_min = [], rsp._sphere_min
+
+    def recorded(*args):
+        found.append(sphere_min(*args))
+        return found[-1]
+
+    monkeypatch.setattr(rsp, "_sphere_min", recorded)
     monkeypatch.setattr(cli, "_ORACLE_CHUNK", 3)
     assert evaluate_oracle_gaps(iter(ensemble), grid_points=500) == whole
     assert whole["states"] == 7
+    # each chunk's one descent holds its discord rows, then its fidelity rows,
+    # and each value is bit-identical to the one-state library call
+    monkeypatch.undo()
+    chunks = [ensemble[:3], ensemble[3:6], ensemble[6:]]
+    assert len(found) == len(chunks)
+    for chunk, rows in zip(chunks, found):
+        expect = ([discord.geometric_discord_oracle(rho) for rho in chunk]
+                  + [rsp.rsp_fidelity_oracle(rho, grid_points=500) for rho in chunk])
+        assert rows.tolist() == expect
 
 
 def test_cached_parser_keeps_no_flags_between_calls(capsys):
@@ -424,13 +441,11 @@ _W3 = "0.3333333333333333"
 
 
 @pytest.mark.parametrize("run,built", [
-    (lambda: run_round(rho_b(0.2, 0.4), ProtocolConfig(beta=[0, 0, 1], target=[1, 0, 0]),
-                       np.random.default_rng(0)), 1),
     (lambda: main(["rsp-sweep", "--state", "rho_b", "--k", "0.2", "--t", "0.4",
                    "--state2", "werner", "--lambda", _W3, "--seed", "1"]), 2),
     (lambda: main(["characterize", "--state", "werner", "--lambda", "0.5",
                    "--noise", "poisson:1e5", "--seed", "7"]), 2),
-], ids=["run_round", "rsp-sweep", "noisy-characterize"])
+], ids=["rsp-sweep", "noisy-characterize"])
 def test_each_state_builds_its_bloch_triple_once(run, built, monkeypatch, capsys):
     reps = []
 
@@ -474,10 +489,10 @@ _GOLDEN = {
         "32ad1eb75aee6e9def91d7591a7d0e9ceec971891018e7bfb1c66a4d1cd264e6"),
     "oracle-check-random": (
         ["oracle-check", "--ensemble", "random:50", "--seed", "3"],
-        "04453ac9ecd3e021503515520832ad255fa75dd1d293eea7647a7a4201b73f37", _EMPTY),
+        "9878950f951dd4ca76ea1fd01c05b24ad7e83c6fdcecd6fda74d5f711722d446", _EMPTY),
     "oracle-check-zero-discord": (
         ["oracle-check", "--ensemble", "zero-discord:20", "--seed", "3"],
-        "00b511a159360b3e5765031dd5cfea9a2e23dc8f2010384b4bea4e806ccd13f6", _EMPTY),
+        "182883fb2e92ea82888b220c8c6d3baeb07a2176b0b0c8f272d3cd499640d738", _EMPTY),
     "characterize-text": (
         ["characterize", *_RHO_B],
         "774097b607a397a4ae5e351be7e26c7e98accde4bf54df86fd17e3ddbf63899d", _EMPTY),

@@ -20,7 +20,6 @@ from qrsp.states import (
 )
 from qrsp.discord import (
     NotInSpecialClass,
-    _objective,
     _oracle_rows,
     _quadratic_form,
     check_special_class,
@@ -29,6 +28,7 @@ from qrsp.discord import (
     geometric_discord_oracle,
     is_zero_discord,
 )
+from qrsp.rsp import _objective
 from conftest import drawn_states
 
 

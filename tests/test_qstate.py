@@ -22,14 +22,12 @@ from qrsp.qstate import (
     partial_trace,
     purity,
     save_state_file,
-    schmidt_canonical,
     state_fidelity,
     su2_rotation,
     to_bloch,
-    unitary_to_rotation,
     von_neumann_entropy,
 )
-from conftest import drawn_states
+from conftest import drawn_states, unitary_to_rotation
 
 # frozen reference values
 ENTROPY_WERNER_THIRD = 1.792481250360578  # 1/2 + (1/2) log2(6), spectrum {1/2, 1/6 x3}
@@ -157,30 +155,6 @@ def test_bloch_rep_bounds():
         from_bloch(BlochRep(a=np.zeros(3), b=np.zeros(3), E=1.2 * np.eye(3)))
 
 
-def test_schmidt_canonical_examples():
-    form = schmidt_canonical(to_bloch(states.werner(0.7)).E)
-    np.testing.assert_allclose(form.singular_values, [0.7, 0.7, 0.7], atol=1e-12)
-    form = schmidt_canonical(np.diag([0.9, 0.0, 0.0]))
-    np.testing.assert_allclose(form.singular_values, [0.9, 0.0, 0.0], atol=1e-12)
-
-
-def test_schmidt_canonical_random():
-    rng = np.random.default_rng(2024)
-    for _ in range(1000):
-        E = rng.uniform(-1.0, 1.0, size=(3, 3))
-        form = schmidt_canonical(E)
-        sv = form.singular_values
-        assert sv[0] >= sv[1] >= sv[2] >= 0.0
-        for rot in (form.rot_a, form.rot_b):
-            np.testing.assert_allclose(rot @ rot.T, np.eye(3), atol=1e-10)
-            assert abs(np.linalg.det(rot) - 1.0) < 1e-10
-        np.testing.assert_allclose(form.rot_a @ E @ form.rot_b.T,
-                                   form.signs @ np.diag(sv), atol=1e-9)
-        # independent route: eigenvalues of E^T E
-        ref = np.sqrt(np.clip(np.linalg.eigvalsh(E.T @ E), 0.0, None))[::-1]
-        np.testing.assert_allclose(sv, ref, atol=1e-9)
-
-
 def test_purity_values():
     assert abs(purity(states.maximally_mixed()) - 0.25) < 1e-12
     assert abs(purity(states.werner(1 / 3)) - 1 / 3) < 1e-12
@@ -276,8 +250,7 @@ def test_local_unitary_covariance():
         assert abs(von_neumann_entropy(rotated) - von_neumann_entropy(rho)) < 1e-9
         assert abs(mutual_information(rotated) - mutual_information(rho)) < 1e-9
         assert abs(concurrence(rotated) - concurrence(rho)) < 1e-9
-        np.testing.assert_allclose(schmidt_canonical(rep2.E).singular_values,
-                                   schmidt_canonical(rep.E).singular_values,
+        np.testing.assert_allclose(np.linalg.svd(rep2.E)[1], np.linalg.svd(rep.E)[1],
                                    atol=1e-9)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrsp.qstate import purity, state_fidelity, to_bloch, unitary_to_rotation, su2_rotation
+from qrsp.qstate import purity, state_fidelity, to_bloch, su2_rotation
 from qrsp.discord import geometric_discord
 from qrsp.rsp import rsp_fidelity
 from qrsp.states import bell, maximally_mixed, mix, random_state, rho_b, werner
@@ -25,6 +25,7 @@ from qrsp.tomo import (
     sample_counts,
     sample_tomography,
 )
+from conftest import unitary_to_rotation
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -62,7 +63,7 @@ def test_sample_counts_poisson_moments():
         rec = sample_counts(werner(1.0 / 3.0), (3, 3), mean_total, seed)
         for c, mean in zip(rec.counts, mean_total * p):
             assert abs(c - mean) <= 4.0 * np.sqrt(mean)
-    for bad in (0, np.nan, np.inf):
+    for bad in (0, np.nan, np.inf, 1e19):  # numpy's Poisson sampler stops near 9.2e18
         with pytest.raises(ValueError, match="mean_total"):
             sample_counts(werner(0.5), (1, 1), bad, 0)
 
@@ -190,6 +191,8 @@ def test_mixture_by_duration_validation():
     for bad in (0, np.nan, np.inf):
         with pytest.raises(ValueError, match="mean_rate"):
             mixture_by_duration([(werner(0.5), 1.0)], bad, 0)
+    with pytest.raises(ValueError, match=r"mean_rate \* weight"):
+        mixture_by_duration([(werner(0.5), 1e10)], 1e10, 0)
     with pytest.raises(ValueError, match="at least one"):
         mixture_by_duration([], 100, 0)
     with pytest.raises(ValueError, match="negative duration"):
