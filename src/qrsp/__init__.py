@@ -22,7 +22,6 @@ from .qstate import (
 )
 from .states import (
     InvalidWeights,
-    MixtureSpec,
     bell,
     maximally_mixed,
     mix,
@@ -38,7 +37,6 @@ from .discord import (
     discord_special_form,
     geometric_discord,
     geometric_discord_oracle,
-    is_zero_discord,
 )
 from .rsp import (
     ProtocolConfig,
@@ -52,7 +50,6 @@ from .rsp import (
     rsp_fidelity_oracle,
     simulate,
     sweep,
-    worst_beta,
 )
 from .tomo import (
     CountRecord,

@@ -76,10 +76,6 @@ def discord_special_form(rho) -> float:
     return float(0.5 * (sv[1] ** 2 + sv[2] ** 2))
 
 
-def is_zero_discord(rho, tol: float = 1e-9) -> bool:
-    return geometric_discord(rho).value <= tol
-
-
 # ---------------------------------------------------------------------------
 # brute-force oracle
 # ---------------------------------------------------------------------------

@@ -368,11 +368,3 @@ def _csv_text(header, rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return out.getvalue()
-
-
-def _csv_rows(text: str, header) -> list:
-    """The data rows of CSV text, after checking its header row."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != header:
-        raise ValueError(f"expected header {','.join(header)}")
-    return rows[1:]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import _csv_rows, _csv_text, _unit, _unit_rows, to_bloch
+from .qstate import _csv_text, _unit, _unit_rows, to_bloch
 
 PROB_TOL = 1e-12
 BRANCH_SNAP_TOL = 1e-12  # branch payoff projections closer than this are identical
@@ -38,7 +38,10 @@ class ProtocolConfig:
     def __post_init__(self):
         beta = _unit(self.beta, "beta")
         target = _unit(self.target, "target")
-        _check_in_plane(beta[None], target[None])
+        dot = beta @ target
+        if abs(dot) > 1e-9:
+            raise ValueError(f"target must lie in the plane orthogonal to beta "
+                             f"(beta.s = {dot:.3e})")
         alpha = None if self.alpha is None else _unit(self.alpha, "alpha")
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "target", target)
@@ -63,22 +66,11 @@ class SweepResult:
         object.__setattr__(self, "records", tuple(self.records))
 
     def to_csv(self) -> str:
-        """Serialize with full-precision floats (parse back within 1e-12)."""
+        """Serialize with full-precision (repr) floats."""
         return _csv_text(_CSV_HEADER, (
             [i] + [repr(float(x)) for x in (*r.target, *r.beta, r.payoff_analytic,
                                             r.payoff_mc, r.stderr)] + [r.shots]
             for i, r in enumerate(self.records)))
-
-    @classmethod
-    def from_csv(cls, text: str) -> "SweepResult":
-        records = []
-        for row in _csv_rows(text, _CSV_HEADER):
-            vals = [float(x) for x in row[1:10]]
-            records.append(SweepRecord(
-                target=np.array(vals[0:3]), beta=np.array(vals[3:6]),
-                payoff_analytic=vals[6], payoff_mc=vals[7], stderr=vals[8],
-                shots=int(row[10])))
-        return cls(tuple(records))
 
     def delta_p(self, other: "SweepResult") -> np.ndarray:
         """Per-target analytic payoff differences against another sweep
@@ -98,16 +90,6 @@ def _column(result: SweepResult, field: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # exact protocol algebra
 # ---------------------------------------------------------------------------
-
-def _check_in_plane(B, S) -> None:
-    """ValueError unless each target S[i] is orthogonal to its axis B[i]
-    within 1e-9."""
-    dots = np.vecdot(B, S)
-    bad = np.flatnonzero(np.abs(dots) > 1e-9)
-    if bad.size:
-        raise ValueError(f"target must lie in the plane orthogonal to beta "
-                         f"(beta.s = {dots[bad[0]]:.3e})")
-
 
 def _branch(rep, A, outcome: int) -> tuple:
     """(P, b_out) for `outcome` along each row of the (n, 3) axes A, as in
@@ -230,13 +212,6 @@ def _payoff_form(E) -> tuple:
     Q = E^T E / 2, for each correlation tensor of the (n, 3, 3) stack E."""
     flat = E.reshape(len(E), 9)
     return 0.5 * np.vecdot(flat, flat), 0.5 * (np.matrix_transpose(E) @ E)
-
-
-def worst_beta(rho) -> np.ndarray:
-    """The beta minimizing average_payoff: a top eigenvector of E^T E."""
-    rep = to_bloch(rho)
-    _, vecs = np.linalg.eigh(rep.E.T @ rep.E)
-    return vecs[:, 2].copy()
 
 
 def rsp_fidelity(rho) -> float:
@@ -404,7 +379,6 @@ def sweep(rho, targets, shots: int, seed) -> SweepResult:
     """
     S = _unit_rows(np.atleast_2d(targets), "target")
     B = _betas(S)
-    _check_in_plane(B, S)
     rep = to_bloch(rho)
     seeds = (np.random.SeedSequence([int(seed), i]) for i in range(len(S)))
     return SweepResult(_simulate_rows(rep, S, B, _optimal_alphas(rep.E, S), shots, seeds))

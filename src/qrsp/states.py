@@ -1,7 +1,5 @@
 """Factories for the two-qubit state families and randomized test ensembles."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .qstate import (
@@ -31,32 +29,19 @@ class InvalidWeights(ValueError):
     """A state-family parameter choice produced a negative mixture weight."""
 
 
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Weighted components (weight, TwoQubitState); weights sum to 1 within 1e-9."""
-
-    components: tuple
-
-    def __post_init__(self):
-        comps = tuple((float(w), as_state(s)) for w, s in self.components)
-        if not comps:
-            raise ValueError("mixture needs at least one component")
-        for w, _ in comps:
-            if not w >= 0.0:  # also rejects NaN
-                raise ValueError(f"mixture weight must be non-negative, got {w:.6g}")
-        total = sum(w for w, _ in comps)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"mixture weights sum to {total:.12g}, expected 1")
-        object.__setattr__(self, "components", comps)
-
-
-def mix(spec) -> TwoQubitState:
-    """Convex combination of states; weights are renormalized exactly."""
-    if not isinstance(spec, MixtureSpec):
-        spec = MixtureSpec(tuple(spec))
-    total = sum(w for w, _ in spec.components)
-    m = sum(w * s.matrix for w, s in spec.components) / total
-    return TwoQubitState(m)
+def mix(components) -> TwoQubitState:
+    """Convex combination of (weight, state) pairs.  Weights must be
+    non-negative and sum to 1 within 1e-9; they are renormalized exactly."""
+    comps = [(float(w), as_state(s)) for w, s in components]
+    if not comps:
+        raise ValueError("mixture needs at least one component")
+    for w, _ in comps:
+        if not w >= 0.0:  # also rejects NaN
+            raise ValueError(f"mixture weight must be non-negative, got {w:.6g}")
+    total = sum(w for w, _ in comps)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"mixture weights sum to {total:.12g}, expected 1")
+    return TwoQubitState(sum(w * s.matrix for w, s in comps) / total)
 
 
 def _projector(ket: np.ndarray) -> np.ndarray:

@@ -18,8 +18,6 @@ import numpy as np
 from .qstate import (
     IDENTITY_2,
     TwoQubitState,
-    _csv_rows,
-    _csv_text,
     apply_local_unitaries,
     as_state,
     bloch_matrix,
@@ -31,8 +29,6 @@ logger = logging.getLogger(__name__)
 
 SETTINGS = tuple((k, l) for k in (1, 2, 3) for l in (1, 2, 3))
 MAX_MEAN_TOTAL = 1e18  # below numpy's largest Poisson mean (~9.2e18); every p <= 1
-
-_COUNT_HEADER = ["k", "l", "n_pp", "n_pm", "n_mp", "n_mm"]
 
 
 class MissingSetting(ValueError):
@@ -59,16 +55,6 @@ class CountRecord:
             raise ValueError(f"counts must be four non-negative integers, got {counts}")
         object.__setattr__(self, "setting", (int(k), int(l)))
         object.__setattr__(self, "counts", counts)
-
-
-def records_to_csv(records) -> str:
-    return _csv_text(_COUNT_HEADER, ([*r.setting, *r.counts] for r in records))
-
-
-def records_from_csv(text: str):
-    return [CountRecord(setting=(int(r[0]), int(r[1])),
-                        counts=tuple(int(c) for c in r[2:6]))
-            for r in _csv_rows(text, _COUNT_HEADER)]
 
 
 def measurement_probabilities(rho, setting) -> np.ndarray:

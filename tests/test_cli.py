@@ -152,6 +152,9 @@ def test_characterize_noise_with_rotation(capsys):
     ["oracle-check", "--ensemble", "random:1", "--grid-points", str(MAX_GRID_POINTS + 1)],
     ["oracle-check", "--ensemble", f"random:{MAX_ENSEMBLE + 1}"],
     ["oracle-check", "--ensemble", "random:1", "--restarts", "5"],
+    ["characterize", "--state", "werner", "--lambda", "0.5", "--noise", "poisson:abc"],
+    ["characterize", "--state", "werner", "--lambda", "0.5",
+     "--noise", "poisson:1e4,rot:z:abc"],
 ])
 def test_usage_errors_exit_1(argv, capsys):
     assert main(argv) == 1
@@ -184,7 +187,9 @@ def test_failed_out_write_leaves_no_temporary_file(tmp_path, capsys):
     (b'{"bloch": {"a": [0, 0], "b": [0, 0, 0], "E": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}}',
      "'bloch.a'"),
     (b'{"matrix": "\xff\xfe"}', "UTF-8"),
-], ids=["object-entry", "400-digit-integer", "string", "ragged", "short-bloch-a", "not-utf-8"])
+    (b'[[1, 0], [0, 0]]', "JSON object"),
+], ids=["object-entry", "400-digit-integer", "string", "ragged", "short-bloch-a", "not-utf-8",
+        "array"])
 def test_malformed_state_file_is_a_state_error(content, field, tmp_path, capsys):
     path = tmp_path / "state.json"
     path.write_bytes(content)
@@ -320,13 +325,22 @@ def test_oracle_check_regression_seeds(argv, capsys):
 
 
 def test_oracle_check_fails_past_the_fidelity_tolerance(monkeypatch, capsys):
-    # a gap is never negative, so a negative tolerance fails every run
-    monkeypatch.setattr(cli, "FIDELITY_GAP_TOL", -1.0)
-    assert main(["oracle-check", "--ensemble", "random:3",
-                 "--grid-points", "2", "--seed", "0"]) == 2
-    lines = capsys.readouterr().out.splitlines()
-    assert any(line.startswith("FAIL fidelity gap") for line in lines)
-    assert lines[-1] == "FAIL"
+    # a gap is never negative, so a negative tolerance fails every run; each of
+    # the four tolerances is driven alone and must print its own FAIL line
+    for tol, ensemble, fail in [
+        ("FIDELITY_GAP_TOL", "random:3", "fidelity gap"),
+        ("DISCORD_GAP_TOL", "random:3", "discord gap"),
+        ("DOMINANCE_TOL", "random:3", "oracle below closed form"),
+        ("ZERO_DISCORD_TOL", "zero-discord:3", "zero-discord ensemble has closed form"),
+    ]:
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, tol, -1.0)
+            assert main(["oracle-check", "--ensemble", ensemble,
+                         "--grid-points", "2", "--seed", "0"]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        fails = [line for line in lines if line.startswith("FAIL")]
+        assert len(fails) == 2 and fails[0].startswith(f"FAIL {fail}"), (tol, lines)
+        assert lines[-1] == "FAIL"
 
 
 def test_oracle_check_bad_ensemble(capsys):
@@ -518,6 +532,47 @@ def test_seeded_outputs_are_byte_identical(name, capsys):
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode()).hexdigest() == out_sha
     assert hashlib.sha256(captured.err.encode()).hexdigest() == err_sha
+
+
+# Upper bounds on the work of each documented CLI size: LAPACK calls, and the calls
+# and rows of the oracles' objective.  Counts do not drift with the host, so a change
+# that moves work shows here without a timer.  Lower a pin with the change that lowers
+# its count; raising one is a change to this check and must say why.
+_WORK = {
+    "characterize": (["characterize", *_RHO_B],
+                     {"eigvalsh": 4, "eigh": 1, "qr": 0, "_objective": 0, "rows": 0}),
+    "characterize-noise": (
+        ["characterize", *_RHO_B, "--noise", "poisson:1e5,rot:z:0.1", "--seed", "7"],
+        {"eigvalsh": 7, "eigh": 3, "qr": 0, "_objective": 0, "rows": 0}),
+    "rsp-sweep": (["rsp-sweep", *_RHO_B, "--state2", "werner", "--lambda", _W3],
+                  {"eigvalsh": 2, "eigh": 0, "qr": 0, "_objective": 0, "rows": 0}),
+    "oracle-check": (["oracle-check"],
+                     {"eigvalsh": 300, "eigh": 0, "qr": 100, "_objective": 53,
+                      "rows": 32792}),
+}
+
+
+@pytest.mark.parametrize("name", _WORK)
+def test_work_counters_stay_within_their_pins(name, monkeypatch, capsys):
+    argv, pins = _WORK[name]
+    work = dict.fromkeys(pins, 0)
+
+    def count(module, attr):
+        original = getattr(module, attr)
+
+        def counted(*args, **kwargs):
+            work[attr] += 1
+            if attr == "_objective":
+                work["rows"] += np.asarray(args[2]).size // 3
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, attr, counted)
+
+    for attr in ("eigvalsh", "eigh", "qr"):
+        count(np.linalg, attr)
+    count(rsp, "_objective")
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert all(work[k] <= pins[k] for k in pins), work
 
 
 # Command lines drawn from the CLI grammar: each subcommand's own flags, each

@@ -26,7 +26,6 @@ from qrsp.discord import (
     discord_special_form,
     geometric_discord,
     geometric_discord_oracle,
-    is_zero_discord,
 )
 from qrsp.rsp import _objective
 from conftest import drawn_states
@@ -125,11 +124,9 @@ def test_value_stays_in_unit_interval():
 def test_zero_discord_family_scores_zero():
     for seed in range(50):
         assert geometric_discord(random_zero_discord(seed)).value < 1e-12
-        assert is_zero_discord(random_zero_discord(seed))
     # hand-built member with mixed conditional states
     state = zero_discord(0.35, [0, 1, 0], np.diag([0.8, 0.2]), np.eye(2) / 2)
     assert geometric_discord(state).value < 1e-12
-    assert not is_zero_discord(werner(0.5))
 
 
 def _dephase(rho, v):

@@ -70,6 +70,8 @@ def test_to_bloch_rejects_invalid_input():
         to_bloch(np.eye(4, dtype=complex))
     with pytest.raises(NotPositive):
         to_bloch(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
+    with pytest.raises(qstate.StateError, match="4x4"):
+        TwoQubitState(np.eye(3) / 3)
 
 
 def test_psd_tolerance_accepts_rounding_noise():
@@ -252,6 +254,8 @@ def test_local_unitary_covariance():
         assert abs(concurrence(rotated) - concurrence(rho)) < 1e-9
         np.testing.assert_allclose(np.linalg.svd(rep2.E)[1], np.linalg.svd(rep.E)[1],
                                    atol=1e-9)
+    with pytest.raises(ValueError, match="not unitary"):
+        apply_local_unitaries(rho, 2.0 * np.eye(2), np.eye(2))
 
 
 @settings(max_examples=200, deadline=None)
@@ -290,6 +294,8 @@ def test_state_file_round_trip(tmp_path):
         assert state_fidelity(rho, back) > 1.0 - 1e-9
         if form == "matrix":
             np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-12)
+    with pytest.raises(ValueError, match="form"):
+        save_state_file(rho, tmp_path / "state_xyz.json", form="xyz")
 
 
 def test_state_file_rejects_malformed(tmp_path):

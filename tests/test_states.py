@@ -6,7 +6,6 @@ import pytest
 from qrsp.qstate import TwoQubitState, purity, to_bloch
 from qrsp.states import (
     InvalidWeights,
-    MixtureSpec,
     bell,
     haar_unitary,
     maximally_mixed,
@@ -118,13 +117,13 @@ def test_rho_b_matches_explicit_mixture():
 
 def test_mixture_spec_validation():
     with pytest.raises(ValueError, match="at least one"):
-        MixtureSpec(())
+        mix([])
     with pytest.raises(ValueError, match="negative"):
-        MixtureSpec(((-0.1, bell("psi_plus")), (1.1, bell("psi_minus"))))
+        mix([(-0.1, bell("psi_plus")), (1.1, bell("psi_minus"))])
     with pytest.raises(ValueError, match="mixture weight"):
-        MixtureSpec(((float("nan"), bell("psi_plus")), (1.0, bell("psi_minus"))))
+        mix([(float("nan"), bell("psi_plus")), (1.0, bell("psi_minus"))])
     with pytest.raises(ValueError, match="sum to"):
-        MixtureSpec(((0.5, bell("psi_plus")), (0.6, bell("psi_minus"))))
+        mix([(0.5, bell("psi_plus")), (0.6, bell("psi_minus"))])
 
 
 def test_mix_renormalizes_trace_exactly():
@@ -186,6 +185,15 @@ def test_haar_unitary_properties():
     u1 = haar_unitary(4, np.random.default_rng(42))
     u2 = haar_unitary(4, np.random.default_rng(42))
     assert np.abs(u1 - u2).max() == 0.0
+
+
+def test_haar_unitary_entries_have_zero_mean():
+    # Haar gives E[U_00] = 0 and E|U_00|^2 = 1/4; without the phase fix of
+    # the QR factors the mean is about 0.29
+    rng = np.random.default_rng(0)
+    n = 4000
+    mean = np.mean([haar_unitary(4, rng)[0, 0] for _ in range(n)])
+    assert abs(mean) <= 5.0 * np.sqrt(0.25 / n)
 
 
 def test_random_state_rank_and_determinism():

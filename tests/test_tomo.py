@@ -4,13 +4,11 @@ import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qrsp.qstate import purity, state_fidelity, to_bloch, su2_rotation
 from qrsp.discord import geometric_discord
 from qrsp.rsp import rsp_fidelity
-from qrsp.states import bell, maximally_mixed, mix, random_state, rho_b, werner
+from qrsp.states import bell, mix, random_state, rho_b, werner
 from qrsp.tomo import (
     SETTINGS,
     CountRecord,
@@ -20,8 +18,6 @@ from qrsp.tomo import (
     measurement_probabilities,
     mixture_by_duration,
     perturb_local_rotation,
-    records_from_csv,
-    records_to_csv,
     sample_counts,
     sample_tomography,
 )
@@ -90,24 +86,6 @@ def test_count_record_validation():
         CountRecord(setting=(1, 1), counts=(1, -2, 3, 4))
     with pytest.raises(ValueError, match="four"):
         CountRecord(setting=(1, 1), counts=(1, 2, 3))
-
-
-def test_records_csv_round_trip():
-    records = sample_tomography(rho_b(0.2, 0.4), 1000, seed=3)
-    text = records_to_csv(records)
-    back = records_from_csv(text)
-    assert [(r.setting, r.counts) for r in back] == \
-        [(r.setting, r.counts) for r in records]
-    with pytest.raises(ValueError, match="header"):
-        records_from_csv("a,b\n1,2\n")
-
-
-@settings(max_examples=100, deadline=None)
-@given(records=st.lists(st.builds(
-    CountRecord, setting=st.tuples(st.integers(1, 3), st.integers(1, 3)),
-    counts=st.tuples(*[st.integers(0, 10**15)] * 4)), max_size=12))
-def test_records_csv_round_trip_is_exact(records):
-    assert records_from_csv(records_to_csv(records)) == records
 
 
 def test_linear_inversion_recovers_exact_frequencies():
