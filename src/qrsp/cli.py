@@ -149,7 +149,7 @@ def cmd_characterize(args) -> int:
         rows = quantities_of(ideal)
     if args.format == "csv":
         text = qstate._csv_text(["quantity", "value"],
-                                ([name, repr(float(v))] for name, v in rows.items()))
+                                ([name, float(v)] for name, v in rows.items()))
     else:
         width = max(len(name) for name in rows)
         text = "".join(f"{name:<{width}}  {v:.10g}\n" for name, v in rows.items())
@@ -180,12 +180,11 @@ def cmd_rsp_sweep(args) -> int:
     header = ["target_index", "sx", "sy", "sz",
               "payoff_analytic_1", "payoff_mc_1", "stderr_1",
               "payoff_analytic_2", "payoff_mc_2", "stderr_2", "delta_p"]
-    values = [[float(v) for v in (*r1.target, r1.payoff_analytic, r1.payoff_mc, r1.stderr,
-                                  r2.payoff_analytic, r2.payoff_mc, r2.stderr, d)]
-              for r1, r2, d in zip(res1.records, res2.records, delta)]
+    fields = ("payoff_analytic", "payoff_mc", "stderr")
+    cols = [rsp._column(res, f) for res in (res1, res2) for f in fields]
+    values = np.column_stack([rsp._column(res1, "target"), *cols, delta]).tolist()
     if args.format == "csv":
-        text = qstate._csv_text(header, ([i] + [repr(v) for v in vals]
-                                         for i, vals in enumerate(values)))
+        text = qstate._csv_text(header, ([i, *vals] for i, vals in enumerate(values)))
     else:
         lines = ["  ".join(header)] + [f"{i}  " + "  ".join(f"{v:.10g}" for v in vals)
                                        for i, vals in enumerate(values)]

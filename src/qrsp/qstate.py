@@ -9,8 +9,6 @@ The Bloch (Fano) form used throughout is
 with s_1 = X, s_2 = Y, s_3 = Z.  All entropies are base 2.
 """
 
-import csv
-import io
 import json
 import os
 from dataclasses import dataclass
@@ -362,9 +360,7 @@ def _atomic_write(path, text: str) -> None:
 
 
 def _csv_text(header, rows) -> str:
-    """CSV text of one header row and the data rows, each ended by a newline."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
+    """CSV text of one header row and the data rows, each ended by a newline.
+    Fields are written with str, which is repr for a float, and unquoted:
+    no caller's field holds a comma, a quote or a line break."""
+    return "".join(",".join(map(str, row)) + "\n" for row in [header, *rows])

@@ -68,9 +68,8 @@ class SweepResult:
     def to_csv(self) -> str:
         """Serialize with full-precision (repr) floats."""
         return _csv_text(_CSV_HEADER, (
-            [i] + [repr(float(x)) for x in (*r.target, *r.beta, r.payoff_analytic,
-                                            r.payoff_mc, r.stderr)] + [r.shots]
-            for i, r in enumerate(self.records)))
+            [i, *map(float, (*r.target, *r.beta, r.payoff_analytic, r.payoff_mc, r.stderr)),
+             r.shots] for i, r in enumerate(self.records)))
 
     def delta_p(self, other: "SweepResult") -> np.ndarray:
         """Per-target analytic payoff differences against another sweep
@@ -96,9 +95,9 @@ def _branch(rep, A, outcome: int) -> tuple:
     outcome_probability and bob_conditional_state; b_out is the zero vector
     in rows where P <= 1e-12.
 
-    Row products go through np.vecdot and np.matvec, which call the same
-    BLAS dot as a 1-D `@`, so each row is bit-identical to the one-axis
-    formula (A @ E, einsum or a sum of products round differently).
+    Row products go through np.vecdot and np.matvec; where these call the same
+    dot as a 1-D `@` (SkylakeX, not Prescott OpenBLAS kernels), each row is
+    bit-identical to the one-axis formula.  A @ E or einsum round otherwise.
     """
     prob = 0.5 * (1.0 + outcome * np.vecdot(A, rep.a))
     live = prob > PROB_TOL
@@ -250,12 +249,13 @@ def simulate(rho, config: ProtocolConfig, shots: int, seed) -> SweepRecord:
     rep = to_bloch(rho)
     S, B = config.target[None], config.beta[None]
     A = _optimal_alphas(rep.E, S) if config.alpha is None else config.alpha[None]
-    return _simulate_rows(rep, S, B, A, shots, [seed])[0]
+    return _simulate_rows(rep, S, B, A, shots, map(np.random.default_rng, [seed]))[0]
 
 
-def _simulate_rows(rep, S, B, A, shots: int, seeds) -> list:
+def _simulate_rows(rep, S, B, A, shots: int, rngs) -> list:
     """simulate for each row i of the (n, 3) targets S, Bob axes B and Alice
-    axes A, with the generator default_rng(seeds[i]): one SweepRecord a row.
+    axes A, with the i-th Generator of rngs, read lazily after the shots
+    check (_streams reseeds one per row): one SweepRecord a row.
 
     Only the binomial draws run row by row.  Squares use np.float_power,
     which is C pow like a Python float's ** 2 (x * x rounds differently),
@@ -265,8 +265,8 @@ def _simulate_rows(rep, S, B, A, shots: int, seeds) -> list:
         raise ValueError("shots must be >= 1")
     p_plus, b_plus, _, b_minus = _corrected_branches(rep, A, B)
     p_plus = np.clip(p_plus, 0.0, 1.0)
-    f = np.array([int(np.random.default_rng(seed).binomial(shots, p)) / shots
-                  for seed, p in zip(seeds, p_plus.tolist())])
+    f = np.array([int(rng.binomial(shots, p)) / shots
+                  for rng, p in zip(rngs, p_plus.tolist())])
     base = np.vecdot(b_minus, S)
     step = np.vecdot(b_plus - b_minus, S)
     step = np.where(np.abs(step) <= BRANCH_SNAP_TOL, 0.0, step)
@@ -373,12 +373,55 @@ def _betas(S) -> np.ndarray:
 def sweep(rho, targets, shots: int, seed) -> SweepResult:
     """Run the protocol over a batch of targets with optimal alpha.
 
-    Target i uses the seed stream (seed, i), so records are independent
-    of evaluation order.  The whole batch is computed at once, and each
-    record is bit-identical to simulate on that target alone.
+    Target i draws from default_rng(SeedSequence([seed, i]))'s stream, built
+    by _streams, so records are independent of evaluation order.  The whole
+    batch runs at once; each record is bit-identical to simulate on it alone.
     """
     S = _unit_rows(np.atleast_2d(targets), "target")
     B = _betas(S)
     rep = to_bloch(rho)
-    seeds = (np.random.SeedSequence([int(seed), i]) for i in range(len(S)))
-    return SweepResult(_simulate_rows(rep, S, B, _optimal_alphas(rep.E, S), shots, seeds))
+    return SweepResult(_simulate_rows(rep, S, B, _optimal_alphas(rep.E, S), shots,
+                                      _streams(seed, len(S))))
+
+
+# numpy's SeedSequence (O'Neill's seed_seq, pcg-random.org 2015; NEP 19): its k-th
+# hash call uses init * mult**k and init * mult**(k + 1) mod 2**32 whatever the words
+# are, so all i mix in lockstep, one array row per pool word and one column per i.
+def _hashmix(value, call: int, init=0x43B0D7E5, mult=0x931E8875) -> np.ndarray:
+    """seed_seq's hash of each row k of the uint32 array value, as hash call
+    number call + k.  Array products wrap silently; numpy scalars would warn."""
+    k = np.arange(call, call + len(value) + 1, dtype=np.uint32)[:, None]
+    hc = np.uint32(init) * np.uint32(mult) ** k
+    value = (value ^ hc[:-1]) * hc[1:]
+    return value ^ value >> 16
+
+
+def _seed_words(seed, index) -> np.ndarray:
+    """SeedSequence([seed, i]).generate_state(4, np.uint64) for each i of
+    the 1-D index array, 0 <= i < 2**32, as an (n, 4) uint64 array."""
+    if (seed := int(seed)) < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed >> k & 0xFFFFFFFF for k in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.zeros((max(len(words) + 1, 4), len(index)), np.uint32)  # padded to the pool
+    entropy[:len(words)], entropy[len(words)] = np.array(words, np.uint32)[:, None], index
+    pool, call = _hashmix(entropy[:4], 0), 4
+    for src in range(len(entropy)):  # each pool word into the other three, the rest into all
+        dst = [k for k in range(4) if k != src]
+        hashed = _hashmix(np.tile((pool if src < 4 else entropy)[src], (len(dst), 1)), call)
+        mixed = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * hashed
+        pool[dst], call = mixed ^ mixed >> 16, call + len(dst)
+    state = _hashmix(pool[[0, 1, 2, 3] * 2], 0, 0x8B51F9DD, 0x58F38DED).astype(np.uint64)
+    return (state[0::2] | state[1::2] << 32).T
+
+
+def _streams(seed, n: int):
+    """default_rng(SeedSequence([seed, i])) for each i < n, as one reused Generator
+    whose PCG64 state is set from _seed_words as pcg_setseq_128_srandom_r does,
+    with the multiplier PCG_DEFAULT_MULTIPLIER_128."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    for s_hi, s_lo, i_hi, i_lo in _seed_words(seed, np.arange(n)).tolist():
+        inc = (i_hi << 65 | i_lo << 1 | 1) % 2**128
+        state = ((s_hi << 64 | s_lo) + inc) * 0x2360ED051FC65DA44385DF649FCCF645 + inc
+        rng.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": state % 2**128, "inc": inc}}
+        yield rng

@@ -20,6 +20,7 @@ from qrsp.rsp import (
     SweepResult,
     ZeroProbabilityBranch,
     _fibonacci_grid,
+    _seed_words,
     apply_correction,
     average_payoff,
     beta_for_target,
@@ -343,7 +344,7 @@ _AXES = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0,
                      st.builds(random_state, st.integers(0, 2**32 - 1),
                                rank=st.integers(1, 4))),
        n=st.integers(1, 64),
-       shots=st.integers(1, 10**6), seed=st.integers(0, 2**32 - 1))
+       shots=st.integers(1, 10**6), seed=st.integers(0, 2**64 - 1))
 def test_sweep_bit_identical_to_per_target_reference(rho, n, shots, seed):
     targets = np.vstack([fibonacci_sphere(n), _AXES])
     batched = sweep(rho, targets, shots, seed)
@@ -351,6 +352,28 @@ def test_sweep_bit_identical_to_per_target_reference(rho, n, shots, seed):
     assert batched.to_csv() == reference.to_csv()
     assert np.array_equal([r.beta for r in batched.records],
                           [r.beta for r in reference.records])
+
+
+def test_sweep_seed_edges():
+    state, targets = rho_b(0.2, 0.4), fibonacci_sphere(5)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        sweep(state, targets, shots=10, seed=-1)
+    # 2**130 has five 32-bit words, one more than the SeedSequence pool
+    assert (sweep(state, targets, shots=10, seed=2**130).to_csv()
+            == _reference_sweep(state, targets, 10, 2**130).to_csv())
+
+
+# Seeds of 1 to 5 32-bit words: entropy shorter than, as long as and longer
+# than the 4-word pool.  At most 64 SeedSequences an example.
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**130 - 1),
+       index=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=64))
+def test_seed_words_match_numpy_seed_sequence(seed, index):
+    reference = [np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)
+                 for i in index]
+    words = _seed_words(seed, np.array(index))
+    assert words.dtype == np.uint64
+    assert np.array_equal(words, reference)
 
 
 def _reference_ensemble_state(rho, alpha, beta) -> np.ndarray:
